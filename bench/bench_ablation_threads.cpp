@@ -32,7 +32,7 @@ void sweep(gnna::sim::Session& session,
     req.program = prog.program;
     req.dataset = prog.dataset;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
-    req.threads = threads;
+    req.config.tile_params.gpe_threads = threads;
     req.trace = env_trace.options();
     requests.push_back(std::move(req));
   }

@@ -60,8 +60,7 @@ int main() {
         points.push_back({p, b, ghz});
         sim::RunRequest req;
         req.benchmark = b;
-        req.config = panels[p].cfg;
-        req.clock_ghz = ghz;
+        req.config = panels[p].cfg.with_core_clock(ghz);
         req.trace = env_trace.options();
         requests.push_back(std::move(req));
       }

@@ -837,19 +837,9 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
         break;
       }
     }
-    const auto partition_token = [](graph::PartitionPolicy p) {
-      switch (p) {
-        case graph::PartitionPolicy::kBlock:
-          return "block";
-        case graph::PartitionPolicy::kProfileGuided:
-          return "profile-guided";
-        default:
-          return "round-robin";
-      }
-    };
     const std::string snippet =
         "tile_dnq_queue0_sixteenths=" + std::to_string(best_s) +
-        "\npartition=" + std::string(partition_token(chosen)) + "\n";
+        "\npartition=" + std::string(graph::partition_name(chosen)) + "\n";
     AnalysisOptions chosen_options = options;
     chosen_options.partition = chosen;
     const auto relint = perf_lints(prog, patched, chosen_options);
@@ -866,7 +856,8 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
       desc << "joint split x partition fix: dnq_queue0_sixteenths "
            << tp.dnq_queue0_sixteenths << "/16 -> " << best_s
            << "/16 (every active queue >= " << best_min
-           << " concurrent entries) with the " << partition_token(chosen)
+           << " concurrent entries) with the "
+           << graph::partition_name(chosen)
            << " partition"
            << (chosen == graph::PartitionPolicy::kProfileGuided
                    ? " (add attribution_from=<profile.json> to the "

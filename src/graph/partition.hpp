@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -23,6 +26,31 @@ enum class PartitionPolicy : std::uint8_t {
   kDegreeGreedy,  // heaviest-degree-first onto the lightest tile
   kProfileGuided  // rebalance from a prior run's measured per-vertex load
 };
+
+/// The one spelling of each policy, as manifests, CLI flags and --fix
+/// snippets write it.
+inline constexpr std::pair<PartitionPolicy, std::string_view>
+    kPartitionNames[] = {
+        {PartitionPolicy::kRoundRobin, "round-robin"},
+        {PartitionPolicy::kBlock, "block"},
+        {PartitionPolicy::kDegreeGreedy, "degree-greedy"},
+        {PartitionPolicy::kProfileGuided, "profile-guided"},
+};
+
+[[nodiscard]] constexpr std::string_view partition_name(PartitionPolicy p) {
+  for (const auto& [policy, name] : kPartitionNames) {
+    if (policy == p) return name;
+  }
+  return "?";
+}
+
+[[nodiscard]] constexpr std::optional<PartitionPolicy> partition_by_name(
+    std::string_view name) {
+  for (const auto& [policy, n] : kPartitionNames) {
+    if (n == name) return policy;
+  }
+  return std::nullopt;
+}
 
 /// Assignment of every vertex to a tile.
 class Partition {

@@ -1,5 +1,7 @@
 #include "sim/manifest.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <sstream>
@@ -10,10 +12,194 @@
 namespace gnna::sim {
 namespace {
 
-[[noreturn]] void fail(const std::string& source, std::size_t line,
-                       const std::string& reason) {
-  throw std::invalid_argument(source + ":" + std::to_string(line) + ": " +
-                              reason);
+[[noreturn]] void reject(const std::string& reason) {
+  throw std::invalid_argument(reason);
+}
+
+/// "[lo, hi]", writing a large power-of-two bound as 2^k.
+std::string range_text(std::uint64_t lo, std::uint64_t hi) {
+  const std::string top = hi > 4096 && std::has_single_bit(hi)
+                              ? "2^" + std::to_string(std::countr_zero(hi))
+                              : std::to_string(hi);
+  return "[" + std::to_string(lo) + ", " + top + "]";
+}
+
+std::uint32_t count_in(const std::string& v, std::uint64_t lo,
+                       std::uint64_t hi) {
+  const auto n = parse_u64(v);
+  if (!n || *n < lo || *n > hi) reject("must be in " + range_text(lo, hi));
+  return static_cast<std::uint32_t>(*n);
+}
+
+double nanos(const std::string& v) {
+  const auto ns = parse_f64(v);
+  if (!ns || *ns < 0.0) reject("must be a number >= 0");
+  return *ns;
+}
+
+bool zero_one(const std::string& v) {
+  if (v != "0" && v != "1") reject("must be 0 or 1");
+  return v == "1";
+}
+
+std::string file_path(const std::string& v) {
+  // Manifest tokens are whitespace-separated, so paths cannot contain
+  // whitespace there.
+  if (v.empty()) reject("needs a file path");
+  return v;
+}
+
+template <class T>
+T named(const std::optional<T>& found, const std::string& choices) {
+  if (!found) reject("must be " + choices);
+  return *found;
+}
+
+using R = RunRequest;
+using V = const std::string&;
+
+// `config` replaces the whole AcceleratorConfig, so it stays first:
+// make_request applies keys in table order.
+constexpr RunKey kRunKeys[] = {
+    {"config", "<name>",
+     "cpu-iso-bw | gpu-iso-bw | gpu-iso-flops (default cpu-iso-bw)",
+     [](R& r, V v) {
+       r.config = named(config_by_name(v),
+                        "cpu-iso-bw | gpu-iso-bw | gpu-iso-flops");
+     }},
+    {"benchmark", "<name>", "Table VII benchmark, e.g. GCN/Cora (--list)",
+     [](R& r, V v) {
+       r.benchmark = named(benchmark_by_name(v), "one of gnnasim --list");
+     }},
+    {"program", "<file>",
+     "run a GNNA-IR .gnna program instead of compiling; the benchmark "
+     "names its dataset",
+     [](R& r, V v) { r.program_file = file_path(v); }},
+    {"clock", "<ghz>", "core clock in GHz (default 2.4; the NoC stays at 2.4)",
+     [](R& r, V v) {
+       const auto ghz = parse_f64(v);
+       if (!ghz || *ghz <= 0.0 || *ghz > 2.4 + 1e-9) {
+         reject("must be a number in (0, 2.4] GHz");
+       }
+       r.config.core_clock = Frequency::giga_hertz(*ghz);
+     }},
+    {"threads", "<n>", "GPE software threads (default 16)",
+     [](R& r, V v) {
+       r.config.tile_params.gpe_threads = count_in(v, 1, 4096);
+     }},
+    {"partition", "<policy>",
+     "round-robin | block | degree-greedy | profile-guided (default "
+     "round-robin)",
+     [](R& r, V v) {
+       r.partition =
+           named(graph::partition_by_name(v),
+                 "round-robin | block | degree-greedy | profile-guided");
+     }},
+    {"seed", "<n>", "dataset seed (default 2020)",
+     [](R& r, V v) { r.seed = named(parse_u64(v), "a number"); }},
+    {"verify", "0|1",
+     "static program verification before simulating (default 1)",
+     [](R& r, V v) { r.verify = zero_one(v); }},
+    {"optimize", "0|1",
+     "run the validator-gated GNNA-IR optimizer first (default 0)",
+     [](R& r, V v) { r.optimize = zero_one(v); }},
+    {"attribution", "0|1", "charge work to owning vertices and tiles",
+     [](R& r, V v) { r.trace.attribution = zero_one(v); }},
+    {"attribution_top_k", "<n>", "attribution hotspot-table bound (default 64)",
+     [](R& r, V v) { r.trace.attribution_top_k = count_in(v, 1, 1U << 24); }},
+    {"attribution_from", "<file>",
+     "prior run's stats JSON that partition profile-guided rebalances from",
+     [](R& r, V v) { r.attribution_from = file_path(v); }},
+    {"mem_scheduler", "<name>",
+     "in_order (default; the paper's model) | frfcfs (banked open-row)",
+     [](R& r, V v) {
+       r.config.mem_params.scheduler =
+           named(mem::mem_scheduler_by_name(v), "in_order | frfcfs");
+     }},
+    {"mem_banks", "<n>", "FR-FCFS DRAM banks (default 8)",
+     [](R& r, V v) { r.config.mem_params.banks = count_in(v, 1, 1024); }},
+    {"mem_row_bytes", "<n>", "FR-FCFS open-row bytes (default 2048)",
+     [](R& r, V v) {
+       r.config.mem_params.row_bytes = count_in(v, 1, 1U << 30);
+     }},
+    {"mem_row_hit_ns", "<ns>", "FR-FCFS open-row latency (default 10)",
+     [](R& r, V v) { r.config.mem_params.row_hit_ns = nanos(v); }},
+    {"mem_row_miss_ns", "<ns>", "FR-FCFS closed-row latency (default 30)",
+     [](R& r, V v) { r.config.mem_params.row_miss_ns = nanos(v); }},
+    {"mem_window", "<n>", "FR-FCFS scheduling-window entries (default 16)",
+     [](R& r, V v) {
+       r.config.mem_params.window_entries = count_in(v, 1, 4096);
+     }},
+    {"mem_bank_interleave_bytes", "<n>",
+     "FR-FCFS address-to-bank stride (default 64)",
+     [](R& r, V v) {
+       r.config.mem_params.bank_interleave_bytes = count_in(v, 1, 1U << 30);
+     }},
+    {"mem_bank_xor", "0|1",
+     "FR-FCFS: XOR the bank index with the row index (default 0)",
+     [](R& r, V v) { r.config.mem_params.bank_xor = zero_one(v); }},
+    {"tile_agg_data_bytes", "<n>",
+     "per-tile AGG scratchpad bytes (gnnaverify --fix, GV201)",
+     [](R& r, V v) {
+       r.config.tile_params.agg_data_bytes = count_in(v, 1, 1U << 30);
+     }},
+    {"tile_dnq_data_bytes", "<n>", "per-tile DNQ scratchpad bytes",
+     [](R& r, V v) {
+       r.config.tile_params.dnq_data_bytes = count_in(v, 1, 1U << 30);
+     }},
+    {"tile_dnq_queue0_sixteenths", "<n>",
+     "DNQ scratchpad sixteenths given to virtual queue 0 (default 8)",
+     [](R& r, V v) {
+       r.config.tile_params.dnq_queue0_sixteenths = count_in(v, 0, 16);
+     }},
+};
+
+const RunKey& find_key(const std::string& key) {
+  for (const RunKey& k : kRunKeys) {
+    if (k.name == key) return k;
+  }
+  reject("unknown key '" + key + "'");
+}
+
+void apply(const RunKey& k, RunRequest& req, const std::string& value) {
+  try {
+    k.set(req, value);
+  } catch (const std::invalid_argument& e) {
+    reject(std::string(k.name) + " " + e.what() + ", got '" + value + "'");
+  }
+}
+
+/// One row per key: the spelling, then the help text from a fixed column,
+/// word-wrapped to 80 characters.
+void print_rows(std::ostream& os, bool as_flags) {
+  constexpr std::size_t kColumn = 29;
+  constexpr std::size_t kWidth = 80;
+  for (const RunKey& k : kRunKeys) {
+    std::string line = "  ";
+    if (!as_flags) {
+      line += std::string(k.name) + "=" + std::string(k.hint);
+    } else if (k.is_bool()) {
+      line += "--[no-]" + k.flag().substr(2);
+    } else {
+      line += k.flag() + " " + std::string(k.hint);
+    }
+    bool in_help = false;  // `line` already holds help words
+    std::istringstream words{std::string(k.help)};
+    for (std::string word; words >> word;) {
+      if (in_help && line.size() + 1 + word.size() <= kWidth) {
+        line += ' ' + word;
+        continue;
+      }
+      if (line.size() >= kColumn) {
+        os << line << '\n';
+        line.clear();
+      }
+      line.resize(kColumn, ' ');
+      line += word;
+      in_help = true;
+    }
+    os << line << '\n';
+  }
 }
 
 }  // namespace
@@ -64,252 +250,119 @@ std::optional<accel::AcceleratorConfig> config_by_name(
   return std::nullopt;
 }
 
-std::optional<graph::PartitionPolicy> partition_by_name(
-    const std::string& name) {
-  if (name == "round-robin") return graph::PartitionPolicy::kRoundRobin;
-  if (name == "block") return graph::PartitionPolicy::kBlock;
-  if (name == "degree-greedy") return graph::PartitionPolicy::kDegreeGreedy;
-  if (name == "profile-guided") {
-    return graph::PartitionPolicy::kProfileGuided;
+std::string RunKey::flag() const {
+  std::string f = "--" + std::string(name);
+  std::replace(f.begin(), f.end(), '_', '-');
+  return f;
+}
+
+std::span<const RunKey> run_keys() { return kRunKeys; }
+
+void set_run_key(RunSpec& spec, const std::string& key,
+                 const std::string& value) {
+  RunRequest scratch;
+  apply(find_key(key), scratch, value);
+  spec[key] = value;
+}
+
+bool parse_run_flag(int argc, const char* const* argv, int& i,
+                    RunSpec& spec) {
+  const std::string arg = argv[i];
+  for (const RunKey& k : kRunKeys) {
+    const std::string flag = k.flag();
+    if (k.is_bool()) {
+      if (arg != flag && arg != "--no-" + flag.substr(2)) continue;
+      set_run_key(spec, std::string(k.name), arg == flag ? "1" : "0");
+      return true;
+    }
+    if (arg != flag) continue;
+    if (i + 1 >= argc) reject(flag + " needs " + std::string(k.hint));
+    set_run_key(spec, std::string(k.name), argv[++i]);
+    return true;
   }
-  return std::nullopt;
+  return false;
+}
+
+RunRequest make_request(const RunSpec& spec) {
+  RunRequest req;
+  for (const RunKey& k : kRunKeys) {
+    const auto it = spec.find(std::string(k.name));
+    if (it != spec.end()) apply(k, req, it->second);
+  }
+  mem::validate(req.config.mem_params);
+  return req;
+}
+
+std::string to_manifest_line(const RunSpec& spec) {
+  std::string line;
+  for (const RunKey& k : kRunKeys) {
+    const auto it = spec.find(std::string(k.name));
+    if (it == spec.end()) continue;
+    if (!line.empty()) line += ' ';
+    line += it->first + "=" + it->second;
+  }
+  return line;
+}
+
+void print_run_flags(std::ostream& os) { print_rows(os, true); }
+
+void print_manifest_keys(std::ostream& os) { print_rows(os, false); }
+
+std::vector<RunSpec> read_manifest(std::istream& in, const RunSpec& defaults,
+                                   const std::string& source) {
+  RunSpec base = defaults;
+  base.erase("benchmark");
+  base.erase("program");
+  std::vector<RunSpec> runs;
+  std::string line;
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    line.erase(std::min(line.find('#'), line.size()));
+    std::istringstream tokens(line);
+    RunSpec spec = base;
+    std::uint64_t repeat = 1;
+    bool any = false;
+    try {
+      for (std::string token; tokens >> token;) {
+        any = true;
+        const auto eq = token.find('=');
+        if (eq == std::string::npos || eq == 0) {
+          reject("expected key=value tokens, got '" + token + "'");
+        }
+        const std::string key = token.substr(0, eq);
+        const std::string value = token.substr(eq + 1);
+        if (key == "repeat") {
+          const auto r = parse_u64(value);
+          if (!r || *r == 0 || *r > 100000) {
+            reject("repeat must be in [1, 100000], got '" + value + "'");
+          }
+          repeat = *r;
+        } else {
+          set_run_key(spec, key, value);
+        }
+      }
+      if (!any) continue;  // blank or comment-only line
+      if (spec.count("benchmark") == 0) {
+        reject(spec.count("program") == 0
+                   ? "line names no benchmark"
+                   : "program= also needs benchmark= (it names the dataset "
+                     "the program runs against)");
+      }
+      (void)make_request(spec);  // the cross-field memory checks
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(source + ":" + std::to_string(lineno) +
+                                  ": " + e.what());
+    }
+    runs.insert(runs.end(), repeat, spec);
+  }
+  return runs;
 }
 
 std::vector<RunRequest> parse_batch_manifest(std::istream& in,
-                                             const RunRequest& defaults,
+                                             const RunSpec& defaults,
                                              const std::string& source) {
   std::vector<RunRequest> requests;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream tokens(line);
-
-    RunRequest req = defaults;
-    req.benchmark.reset();
-    req.program.reset();
-    req.program_file.clear();
-    req.model.reset();
-    req.dataset.reset();
-    std::uint64_t repeat = 1;
-
-    bool any = false;
-    std::string token;
-    while (tokens >> token) {
-      any = true;
-      const auto eq = token.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        fail(source, lineno,
-             "expected key=value tokens, got '" + token + "'");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "benchmark") {
-        req.benchmark = benchmark_by_name(value);
-        if (!req.benchmark) {
-          fail(source, lineno,
-               "unknown benchmark '" + value + "' (try gnnasim --list)");
-        }
-      } else if (key == "program") {
-        // A GNNA-IR .gnna file to load instead of compiling. The line still
-        // needs benchmark= — it names the dataset the program runs against
-        // (and the label in reports). Paths cannot contain whitespace
-        // (tokens are whitespace-separated).
-        if (value.empty()) {
-          fail(source, lineno, "program needs a file path");
-        }
-        req.program_file = value;
-      } else if (key == "config") {
-        const auto cfg = config_by_name(value);
-        if (!cfg) {
-          fail(source, lineno, "unknown config '" + value +
-                                   "' (cpu-iso-bw | gpu-iso-bw | "
-                                   "gpu-iso-flops)");
-        }
-        req.config = *cfg;
-      } else if (key == "clock") {
-        const auto ghz = parse_f64(value);
-        if (!ghz || *ghz <= 0.0 || *ghz > 2.4 + 1e-9) {
-          fail(source, lineno,
-               "clock must be a number in (0, 2.4] GHz, got '" + value + "'");
-        }
-        req.clock_ghz = *ghz;
-      } else if (key == "threads") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > 4096) {
-          fail(source, lineno,
-               "threads must be in [1, 4096], got '" + value + "'");
-        }
-        req.threads = static_cast<std::uint32_t>(*n);
-      } else if (key == "partition") {
-        const auto p = partition_by_name(value);
-        if (!p) {
-          fail(source, lineno,
-               "unknown partition policy '" + value +
-                   "' (round-robin | block | degree-greedy | "
-                   "profile-guided)");
-        }
-        req.partition = *p;
-      } else if (key == "seed") {
-        const auto s = parse_u64(value);
-        if (!s) fail(source, lineno, "seed must be a number, got '" + value + "'");
-        req.seed = *s;
-      } else if (key == "verify") {
-        if (value == "1") {
-          req.verify = true;
-        } else if (value == "0") {
-          req.verify = false;
-        } else {
-          fail(source, lineno, "verify must be 0 or 1, got '" + value + "'");
-        }
-      } else if (key == "optimize") {
-        if (value == "1") {
-          req.optimize = true;
-        } else if (value == "0") {
-          req.optimize = false;
-        } else {
-          fail(source, lineno,
-               "optimize must be 0 or 1, got '" + value + "'");
-        }
-      } else if (key == "repeat") {
-        const auto r = parse_u64(value);
-        if (!r || *r == 0 || *r > 100000) {
-          fail(source, lineno,
-               "repeat must be in [1, 100000], got '" + value + "'");
-        }
-        repeat = *r;
-      } else if (key == "attribution") {
-        if (value == "1") {
-          req.trace.attribution = true;
-        } else if (value == "0") {
-          req.trace.attribution = false;
-        } else {
-          fail(source, lineno,
-               "attribution must be 0 or 1, got '" + value + "'");
-        }
-      } else if (key == "attribution_top_k") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > (1ULL << 24)) {
-          fail(source, lineno,
-               "attribution_top_k must be in [1, 2^24], got '" + value +
-                   "'");
-        }
-        req.trace.attribution_top_k = static_cast<std::size_t>(*n);
-      } else if (key == "attribution_from") {
-        // Path to a prior run's stats JSON; consumed by
-        // partition=profile-guided. Paths cannot contain whitespace.
-        if (value.empty()) {
-          fail(source, lineno, "attribution_from needs a file path");
-        }
-        req.attribution_from = value;
-      } else if (key == "mem_scheduler") {
-        // Memory keys override fields of req.config.mem_params; put them
-        // after any config= token on the line, since config= replaces the
-        // whole configuration (memory parameters included).
-        const auto s = mem::mem_scheduler_by_name(value);
-        if (!s) {
-          fail(source, lineno, "unknown mem_scheduler '" + value +
-                                   "' (in_order | frfcfs)");
-        }
-        req.config.mem_params.scheduler = *s;
-      } else if (key == "mem_banks") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > 1024) {
-          fail(source, lineno,
-               "mem_banks must be in [1, 1024], got '" + value + "'");
-        }
-        req.config.mem_params.banks = static_cast<std::uint32_t>(*n);
-      } else if (key == "mem_row_bytes") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > (1ULL << 30)) {
-          fail(source, lineno,
-               "mem_row_bytes must be in [1, 2^30], got '" + value + "'");
-        }
-        req.config.mem_params.row_bytes = static_cast<std::uint32_t>(*n);
-      } else if (key == "mem_row_hit_ns" || key == "mem_row_miss_ns") {
-        const auto ns = parse_f64(value);
-        if (!ns || *ns < 0.0) {
-          fail(source, lineno,
-               key + " must be a number >= 0, got '" + value + "'");
-        }
-        if (key == "mem_row_hit_ns") {
-          req.config.mem_params.row_hit_ns = *ns;
-        } else {
-          req.config.mem_params.row_miss_ns = *ns;
-        }
-      } else if (key == "mem_window") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > 4096) {
-          fail(source, lineno,
-               "mem_window must be in [1, 4096], got '" + value + "'");
-        }
-        req.config.mem_params.window_entries =
-            static_cast<std::uint32_t>(*n);
-      } else if (key == "mem_bank_interleave_bytes") {
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > (1ULL << 30)) {
-          fail(source, lineno,
-               "mem_bank_interleave_bytes must be in [1, 2^30], got '" +
-                   value + "'");
-        }
-        req.config.mem_params.bank_interleave_bytes =
-            static_cast<std::uint32_t>(*n);
-      } else if (key == "mem_bank_xor") {
-        if (value == "1") {
-          req.config.mem_params.bank_xor = true;
-        } else if (value == "0") {
-          req.config.mem_params.bank_xor = false;
-        } else {
-          fail(source, lineno,
-               "mem_bank_xor must be 0 or 1, got '" + value + "'");
-        }
-      } else if (key == "tile_agg_data_bytes" ||
-                 key == "tile_dnq_data_bytes") {
-        // Tile scratchpad overrides (what `gnnaverify --fix` suggests for
-        // GV201). Like mem_*, these override fields of req.config, so put
-        // them after any config= token.
-        const auto n = parse_u64(value);
-        if (!n || *n == 0 || *n > (1ULL << 30)) {
-          fail(source, lineno,
-               key + " must be in [1, 2^30], got '" + value + "'");
-        }
-        if (key == "tile_agg_data_bytes") {
-          req.config.tile_params.agg_data_bytes =
-              static_cast<std::uint32_t>(*n);
-        } else {
-          req.config.tile_params.dnq_data_bytes =
-              static_cast<std::uint32_t>(*n);
-        }
-      } else if (key == "tile_dnq_queue0_sixteenths") {
-        const auto n = parse_u64(value);
-        if (!n || *n > 16) {
-          fail(source, lineno,
-               "tile_dnq_queue0_sixteenths must be in [0, 16], got '" +
-                   value + "'");
-        }
-        req.config.tile_params.dnq_queue0_sixteenths =
-            static_cast<std::uint32_t>(*n);
-      } else {
-        fail(source, lineno, "unknown key '" + key + "'");
-      }
-    }
-    if (!any) continue;  // blank or comment-only line
-    if (!req.benchmark) {
-      fail(source, lineno,
-           req.program_file.empty()
-               ? "line names no benchmark"
-               : "program= also needs benchmark= (it names the dataset "
-                 "the program runs against)");
-    }
-    try {
-      mem::validate(req.config.mem_params);
-    } catch (const std::invalid_argument& e) {
-      fail(source, lineno, e.what());
-    }
-    for (std::uint64_t r = 0; r < repeat; ++r) requests.push_back(req);
+  for (const RunSpec& spec : read_manifest(in, defaults, source)) {
+    requests.push_back(make_request(spec));
   }
   return requests;
 }

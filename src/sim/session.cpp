@@ -1,5 +1,7 @@
 #include "sim/session.hpp"
 
+#include <exception>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -102,25 +104,43 @@ Session::Resolved Session::resolve_base(const RunRequest& req) {
   if (req.benchmark) {
     auto ds = dataset(gnn::benchmark_dataset(*req.benchmark), req.seed);
     const MemoKey key{*req.benchmark, req.seed};
+    std::promise<std::uint64_t> compiled;
+    std::shared_future<std::uint64_t> pending;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (const auto it = memo_.find(key); it != memo_.end()) {
         ++program_hits_;
-        return Resolved{std::move(ds), store_.at(it->second), it->second,
-                        "hit"};
+        pending = it->second;
+      } else {
+        memo_.emplace(key, compiled.get_future().share());
       }
     }
-    // Compile outside the lock: the dataset cache has its own, and two
-    // threads racing on one key just do the work twice — the results are
-    // identical and first-insert wins.
-    auto prog = std::make_shared<const accel::CompiledProgram>(
-        accel::ProgramCompiler{}.compile(gnn::make_benchmark_model(
-                                             *req.benchmark),
-                                         *ds));
+    if (pending.valid()) {
+      // Single flight: a request that finds the key compiling waits for
+      // that compile instead of repeating it.
+      const std::uint64_t h = pending.get();
+      std::lock_guard<std::mutex> lock(mu_);
+      return Resolved{std::move(ds), store_.at(h), h, "hit"};
+    }
+    // Compile outside the lock (the dataset cache has its own).
+    std::shared_ptr<const accel::CompiledProgram> prog;
+    try {
+      prog = std::make_shared<const accel::CompiledProgram>(
+          accel::ProgramCompiler{}.compile(
+              gnn::make_benchmark_model(*req.benchmark), *ds));
+    } catch (...) {
+      // Waiters see the same failure; later requests compile afresh.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        memo_.erase(key);
+      }
+      compiled.set_exception(std::current_exception());
+      throw;
+    }
     const std::uint64_t h = accel::ir::content_hash(*prog);
     std::lock_guard<std::mutex> lock(mu_);
-    memo_[key] = h;
     auto [it, inserted] = store_.emplace(h, std::move(prog));
+    compiled.set_value(h);
     if (inserted) {
       ++program_misses_;
       return Resolved{std::move(ds), it->second, h, "miss"};
@@ -142,12 +162,8 @@ Session::Resolved Session::resolve_base(const RunRequest& req) {
 accel::RunStats Session::run(const RunRequest& req) {
   const Resolved r = resolve(req);
 
-  accel::AcceleratorConfig cfg = req.config;
-  if (req.clock_ghz) cfg = cfg.with_core_clock(*req.clock_ghz);
-  if (req.threads) cfg.tile_params.gpe_threads = *req.threads;
-
-  const std::uint32_t num_tiles = cfg.num_tiles();
-  accel::AcceleratorSim sim(std::move(cfg), req.partition);
+  const std::uint32_t num_tiles = req.config.num_tiles();
+  accel::AcceleratorSim sim(req.config, req.partition);
   if (req.watchdog_cycles) sim.set_watchdog_cycles(*req.watchdog_cycles);
   sim.set_verify(req.verify);
   sim.set_trace(req.trace);

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,11 +53,9 @@ struct RunRequest {
   std::shared_ptr<const graph::Dataset> dataset;
 
   // -- Per-run knobs.
+  /// The machine to simulate, core clock and GPE thread count included
+  /// (the manifest keys clock= and threads= write straight into it).
   accel::AcceleratorConfig config = accel::AcceleratorConfig::cpu_iso_bw();
-  /// Core-clock override in GHz; unset keeps config.core_clock.
-  std::optional<double> clock_ghz;
-  /// GPE software-thread override; unset keeps config.tile_params.
-  std::optional<std::uint32_t> threads;
   graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
   /// Profile-guided partitioning input: path to a prior run's stats JSON
   /// (written with TraceOptions::attribution on). With partition ==
@@ -106,7 +105,8 @@ class Session {
 
   /// Cache-hit accounting (for tests and cache-effectiveness reports).
   /// The program cache is two-level: a (benchmark, seed) memo in front of
-  /// a content-hash store. `program_hits` counts memo hits (no compile),
+  /// a content-hash store. `program_hits` counts memo hits (no compile;
+  /// a request that finds its key still compiling waits and counts here),
   /// `program_dedupes` counts compiles whose IR hash matched an existing
   /// program (compiled, then shared), `program_misses` counts fresh
   /// inserts.
@@ -163,8 +163,9 @@ class Session {
 
   mutable std::mutex mu_;
   /// (benchmark, seed) -> IR content hash: answers "have we compiled this
-  /// request before" without recompiling.
-  std::map<MemoKey, std::uint64_t> memo_;
+  /// request before" without recompiling. The hash is ready once the
+  /// first request's compile finishes; later requests wait for it.
+  std::map<MemoKey, std::shared_future<std::uint64_t>> memo_;
   /// IR content hash -> the one shared program instance. Entries come from
   /// benchmark compiles and .gnna file loads alike.
   std::map<std::uint64_t, std::shared_ptr<const accel::CompiledProgram>>

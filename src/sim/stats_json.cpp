@@ -10,7 +10,6 @@
 #include "trace/profiler.hpp"
 
 namespace gnna::sim {
-namespace {
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -34,6 +33,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "accel/simulator.hpp"
@@ -31,6 +32,10 @@ namespace gnna::sim {
 /// "program_hash" when the optimizer proved the program already optimal;
 /// see accel/opt.hpp). Readers should treat a missing field as v1.
 inline constexpr int kStatsJsonSchemaVersion = 7;
+
+/// `s` as the body of a JSON string literal (quotes, backslashes and
+/// control characters escaped); shared by every JSON emitter in the tools.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 /// One run as a JSON object (all counters, utilizations, and the per-phase
 /// breakdown). Doubles are emitted with round-trip precision.

@@ -123,7 +123,8 @@ TEST(Session, ResolveSharesDatasetAndProgramAcrossRequests) {
   RunRequest a;
   a.benchmark = kSmall;
   RunRequest b = a;
-  b.threads = 32;  // per-run knobs must not fork the cached inputs
+  // Per-run knobs must not fork the cached inputs.
+  b.config.tile_params.gpe_threads = 32;
 
   const Session::Resolved ra = session.resolve(a);
   const Session::Resolved rb = session.resolve(b);
@@ -141,8 +142,8 @@ TEST(Session, ClockAndThreadOverridesApply) {
   Session session;
   RunRequest req;
   req.benchmark = kSmall;
-  req.clock_ghz = 1.2;
-  req.threads = 4;
+  req.config = req.config.with_core_clock(1.2);
+  req.config.tile_params.gpe_threads = 4;
   const accel::RunStats rs = session.run(req);
   EXPECT_DOUBLE_EQ(rs.core_clock_ghz, 1.2);
 
@@ -225,7 +226,7 @@ TEST(Session, BatchManifestRepeatingBenchmarkReportsCacheInStatsJson) {
       "benchmark=GCN/Cora repeat=2\n"
       "benchmark=GCN/Cora seed=99\n");
   const std::vector<RunRequest> reqs =
-      parse_batch_manifest(manifest, RunRequest{}, "cache.txt");
+      parse_batch_manifest(manifest, {}, "cache.txt");
   ASSERT_EQ(reqs.size(), 3U);
 
   Session session;

@@ -44,17 +44,16 @@ void usage(std::ostream& os) {
         "  --bind <benchmark>    dataset the program runs against; enables\n"
         "                        the topology-dependent proof obligations\n"
         "                        (walk-tree recomputation, GV012)\n"
-        "  --config <name>       cpu-iso-bw | gpu-iso-bw | gpu-iso-flops\n"
-        "                        (default cpu-iso-bw; sets the scratchpad\n"
-        "                        footprint bound for fusion and the\n"
-        "                        cycle-bound obligation)\n"
-        "  --seed <n>            dataset seed for --bind (default 2020)\n"
         "  --passes <a,b,...>    pass subset, run in the given order\n"
         "                        (default: the full pipeline)\n"
         "  --report <file>       also write the validation report here\n"
         "  --list-passes         print the pass catalog\n"
         "  --quiet               only print errors\n"
-        "  --help                this text\n";
+        "  --help                this text\n"
+        "run flags (gnnasim's; the config they describe sets the scratchpad\n"
+        "footprint bound for fusion and the cycle-bound obligation, --seed\n"
+        "picks the --bind dataset's variant, and the rest have no effect):\n";
+  sim::print_run_flags(os);
 }
 
 std::vector<std::string> split_passes(const std::string& csv) {
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
   std::string output;
   std::string report_path;
   std::optional<gnn::Benchmark> bind;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  std::uint64_t seed = 2020;
+  sim::RunSpec spec;
   std::vector<std::string> passes;
   bool quiet = false;
 
@@ -85,6 +83,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    try {
+      if (sim::parse_run_flag(argc, argv, i, spec)) continue;
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       return 0;
@@ -111,23 +115,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       bind = *b;
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: --config needs cpu-iso-bw | gpu-iso-bw |"
-                     " gpu-iso-flops\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *n;
     } else if (arg == "--passes") {
       const auto v = next();
       if (!v || v->empty()) {
@@ -161,6 +148,14 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
+  sim::RunRequest req;
+  try {
+    req = sim::make_request(spec);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+  const accel::AcceleratorConfig& cfg = req.config;
   if (output.empty()) {
     const std::string ext = accel::ir::kIrExtension;
     std::string stem = input;
@@ -182,7 +177,8 @@ int main(int argc, char** argv) {
 
   std::shared_ptr<const graph::Dataset> ds;
   if (bind) {
-    ds = sim::Session::global().dataset(gnn::benchmark_dataset(*bind), seed);
+    ds = sim::Session::global().dataset(gnn::benchmark_dataset(*bind),
+                                        req.seed);
   }
 
   accel::opt::OptimizeOptions oo;

@@ -27,7 +27,6 @@
 #include "accel/ir.hpp"
 #include "baseline/baselines.hpp"
 #include "common/table.hpp"
-#include "mem/memory.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/manifest.hpp"
 #include "sim/session.hpp"
@@ -42,27 +41,13 @@ using namespace gnna;
 void usage(std::ostream& os) {
   os << "usage: gnnasim [options]\n"
         "  --list                     list benchmarks and configurations\n"
-        "  --benchmark <name>         e.g. GCN/Cora (required unless --list"
-        " or --batch)\n"
-        "  --program <file>           run a GNNA-IR .gnna program instead of\n"
-        "                             compiling; --benchmark still names the\n"
-        "                             dataset it runs against\n"
         "  --emit-program <file>      compile the benchmark, write it as\n"
         "                             GNNA-IR text, and exit (no simulation)\n"
-        "  --config <name>            cpu-iso-bw | gpu-iso-bw | gpu-iso-flops"
-        " (default cpu-iso-bw)\n"
-        "  --clock <ghz>              core clock in GHz (default 2.4)\n"
-        "  --threads <n>              GPE software threads (default 16)\n"
-        "  --partition <policy>       round-robin | block | degree-greedy |\n"
-        "                             profile-guided (default round-robin;\n"
-        "                             profile-guided needs"
-        " --attribution-from)\n"
-        "  --seed <n>                 dataset seed (default 2020)\n"
         "  --energy                   print the energy breakdown\n"
         "  --batch <manifest>         run one simulation per manifest line\n"
         "                             (key=value tokens; `gnnasim --help-batch'"
         " for the format);\n"
-        "                             CLI flags above become per-line"
+        "                             run flags below become per-line"
         " defaults\n"
         "  --jobs <n>                 worker threads for --batch (default 1)\n"
         "  --json <file>              write run stats as JSON (object for a\n"
@@ -71,16 +56,9 @@ void usage(std::ostream& os) {
         "                             printed after the report, embedded in\n"
         "                             --json output, and (with =<file>) also\n"
         "                             written there as JSON for gnnatrace\n"
-        "  --attribution[=<file>]     charge work to owning vertices/tiles;\n"
-        "                             per-tile totals + top-K hotspots are\n"
-        "                             embedded in --json output and (with\n"
-        "                             =<file>) also written there as JSON\n"
-        "                             for gnnatrace hotspots\n"
-        "  --attribution-top-k <n>    hotspot-table bound (default 64; use\n"
-        "                             >= the vertex count for an exact\n"
-        "                             profiling pass)\n"
-        "  --attribution-from <file>  prior run's stats JSON consumed by\n"
-        "                             --partition profile-guided\n"
+        "  --attribution=<file>       --attribution, and also write the stats\n"
+        "                             JSON (per-tile totals + top-K hotspots)\n"
+        "                             there for gnnatrace hotspots\n"
         "  --trace <file>             write a Chrome-trace JSON event log\n"
         "                             (open in chrome://tracing or Perfetto;\n"
         "                             per-run files <file>.runN in --batch)\n"
@@ -89,57 +67,22 @@ void usage(std::ostream& os) {
         "                             stderr; per-run files in --batch)\n"
         "  --watchdog <cycles>        progress watchdog threshold\n"
         "  --deadlock-report <file>   also write watchdog diagnostics here\n"
-        "  --verify / --no-verify     static program verification before\n"
-        "                             simulating (default on; lint errors\n"
-        "                             abort the run — see gnnaverify)\n"
-        "  --optimize                 run the program through the GNNA-IR\n"
-        "                             pass pipeline (accel::opt), gated by\n"
-        "                             the translation validator; the run\n"
-        "                             aborts if any pass output cannot be\n"
-        "                             proved equivalent (see gnnaopt)\n"
-        "  --mem-scheduler <name>     in_order (default; the paper's model)\n"
-        "                             | frfcfs (banked open-row reordering\n"
-        "                             controller, DESIGN.md §11)\n"
-        "  --mem-banks <n>            FR-FCFS: DRAM banks (default 8)\n"
-        "  --mem-row-bytes <n>        FR-FCFS: open-row size (default 2048)\n"
-        "  --mem-row-hit-ns <ns>      FR-FCFS: open-row access latency\n"
-        "                             (default 10)\n"
-        "  --mem-row-miss-ns <ns>     FR-FCFS: closed-row access latency\n"
-        "                             (default 30)\n"
-        "  --mem-window <n>           FR-FCFS: scheduling-window entries\n"
-        "                             (default 16)\n"
-        "  --mem-bank-xor             FR-FCFS: XOR-permute the bank index\n"
-        "                             with the row index so strided access\n"
-        "                             patterns spread across banks\n"
-        "  --tile-agg-data-bytes <n>  per-tile AGG scratchpad bytes (what\n"
-        "                             gnnaverify --fix suggests for GV201)\n"
-        "  --tile-dnq-data-bytes <n>  per-tile DNQ scratchpad bytes\n"
-        "  --tile-dnq-queue0-sixteenths <n>\n"
-        "                             DNQ virtual-queue split: sixteenths of\n"
-        "                             the DNQ scratchpad given to queue 0\n"
-        "  --help                     this text\n";
+        "  --help                     this text\n"
+        "run flags (the manifest keys of --help-batch; --benchmark is\n"
+        "required unless --list or --batch):\n";
+  sim::print_run_flags(os);
 }
 
 void usage_batch(std::ostream& os) {
   os << "batch manifest format: one run per line, `#' comments, tokens\n"
         "  benchmark=GCN/Cora config=gpu-iso-bw clock=1.2 threads=32 \\\n"
         "      partition=block seed=7 repeat=4 verify=0\n"
-        "`benchmark' is required per line; other keys default to the CLI\n"
-        "flags; `repeat=N' expands the line into N identical runs;\n"
-        "`verify=0|1' toggles static program verification per line;\n"
-        "`optimize=0|1' toggles the validator-gated GNNA-IR optimizer;\n"
-        "`program=<file>' loads a GNNA-IR .gnna program instead of\n"
-        "compiling (benchmark= still names the dataset).\n"
-        "Memory keys mem_scheduler=in_order|frfcfs, mem_banks=N,\n"
-        "mem_row_bytes=N, mem_row_hit_ns=X, mem_row_miss_ns=X, mem_window=N,\n"
-        "mem_bank_xor=0|1 and tile scratchpad keys tile_agg_data_bytes=N,\n"
-        "tile_dnq_data_bytes=N, tile_dnq_queue0_sixteenths=N override the\n"
-        "line's configuration; put them after any config= token (config=\n"
-        "replaces the whole configuration).\n"
-        "Attribution keys: attribution=0|1 toggles the per-vertex/per-tile\n"
-        "work-attribution sink, attribution_top_k=N bounds its hotspot\n"
-        "table, and partition=profile-guided attribution_from=<stats.json>\n"
-        "rebalances the line from a prior run's attribution block.\n";
+        "`benchmark' is required per line; `repeat=N' expands the line into\n"
+        "N identical runs. config= is applied first and every other key on\n"
+        "top of it, wherever it sits on the line. The run flags (gnnasim\n"
+        "--help) are per-line defaults that a line overrides key by key.\n"
+        "keys:\n";
+  sim::print_manifest_keys(os);
 }
 
 /// "t.json" -> "t.run3.json" (suffix before the extension, if any).
@@ -196,11 +139,10 @@ struct TraceFiles {
 
 void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
                              const accel::AcceleratorConfig& cfg,
-                             double clock_ghz, std::uint32_t threads,
                              bool want_energy) {
   std::cout << "benchmark : " << gnn::benchmark_name(b) << '\n';
-  std::cout << "config    : " << cfg.name << " @ " << clock_ghz << " GHz, "
-            << threads << " GPE threads\n\n";
+  std::cout << "config    : " << cfg.name << " @ " << cfg.core_clock.ghz()
+            << " GHz, " << cfg.tile_params.gpe_threads << " GPE threads\n\n";
 
   Table t({"Metric", "Value"});
   t.add_row({"latency", format_double(rs.millis, 3) + " ms (" +
@@ -271,40 +213,19 @@ bool write_json_file(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<gnn::Benchmark> benchmark;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
-  double clock_ghz = 2.4;
-  std::uint32_t threads = 16;
-  std::uint64_t seed = 2020;
+  sim::RunSpec spec;
   bool want_energy = false;
   std::string batch_path;
   std::string json_path;
   bool profile = false;
   std::string profile_path;
-  bool attribution = false;
   std::string attribution_path;
-  std::optional<std::size_t> attribution_top_k;
-  std::string attribution_from;
   unsigned jobs = 1;
   std::string trace_path;
   std::string sample_path;
   std::string deadlock_path;
   Cycle sample_every = 0;
   std::optional<Cycle> watchdog;
-  bool verify = true;
-  bool optimize = false;
-  std::optional<mem::MemScheduler> mem_scheduler;
-  std::optional<std::uint32_t> mem_banks;
-  std::optional<std::uint32_t> mem_row_bytes;
-  std::optional<double> mem_row_hit_ns;
-  std::optional<double> mem_row_miss_ns;
-  std::optional<std::uint32_t> mem_window;
-  bool mem_bank_xor = false;
-  std::optional<std::uint32_t> tile_agg_data_bytes;
-  std::optional<std::uint32_t> tile_dnq_data_bytes;
-  std::optional<std::uint32_t> tile_dnq_queue0_sixteenths;
-  std::string program_path;
   std::string emit_program_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -313,6 +234,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    try {
+      if (sim::parse_run_flag(argc, argv, i, spec)) continue;
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 2;
+    }
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       return 0;
@@ -330,58 +257,7 @@ int main(int argc, char** argv) {
                    "  gpu-iso-flops\n";
       return 0;
     }
-    if (arg == "--benchmark") {
-      const auto v = next();
-      if (!v || !(benchmark = sim::benchmark_by_name(*v))) {
-        std::cerr << "error: unknown benchmark; try --list\n";
-        return 2;
-      }
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: unknown config; try --list\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--clock") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_f64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --clock needs a number (GHz)\n";
-        return 2;
-      }
-      clock_ghz = *parsed;
-      if (clock_ghz <= 0.0 || clock_ghz > 2.4 + 1e-9) {
-        std::cerr << "error: clock must be in (0, 2.4] GHz (the NoC runs "
-                     "at 2.4)\n";
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --threads needs a count\n";
-        return 2;
-      }
-      threads = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--partition") {
-      const auto v = next();
-      const auto p = v ? sim::partition_by_name(*v) : std::nullopt;
-      if (!p) {
-        std::cerr << "error: unknown partition policy\n";
-        return 2;
-      }
-      partition = *p;
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *parsed;
-    } else if (arg == "--energy") {
+    if (arg == "--energy") {
       want_energy = true;
     } else if (arg == "--batch") {
       const auto v = next();
@@ -415,31 +291,13 @@ int main(int argc, char** argv) {
         std::cerr << "error: --profile= needs a file name\n";
         return 2;
       }
-    } else if (arg == "--attribution") {
-      attribution = true;
     } else if (arg.rfind("--attribution=", 0) == 0) {
-      attribution = true;
+      sim::set_run_key(spec, "attribution", "1");
       attribution_path = arg.substr(std::strlen("--attribution="));
       if (attribution_path.empty()) {
         std::cerr << "error: --attribution= needs a file name\n";
         return 2;
       }
-    } else if (arg == "--attribution-top-k") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 24)) {
-        std::cerr << "error: --attribution-top-k needs a count in "
-                     "[1, 2^24]\n";
-        return 2;
-      }
-      attribution_top_k = static_cast<std::size_t>(*parsed);
-    } else if (arg == "--attribution-from") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --attribution-from needs a stats JSON file\n";
-        return 2;
-      }
-      attribution_from = *v;
     } else if (arg == "--trace") {
       const auto v = next();
       if (!v) {
@@ -477,87 +335,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       deadlock_path = *v;
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--no-verify") {
-      verify = false;
-    } else if (arg == "--optimize") {
-      optimize = true;
-    } else if (arg == "--mem-scheduler") {
-      const auto v = next();
-      const auto s = v ? mem::mem_scheduler_by_name(*v) : std::nullopt;
-      if (!s) {
-        std::cerr << "error: --mem-scheduler needs in_order | frfcfs\n";
-        return 2;
-      }
-      mem_scheduler = *s;
-    } else if (arg == "--mem-banks") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > 1024) {
-        std::cerr << "error: --mem-banks needs a count in [1, 1024]\n";
-        return 2;
-      }
-      mem_banks = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-row-bytes") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 30)) {
-        std::cerr << "error: --mem-row-bytes needs a size in [1, 2^30]\n";
-        return 2;
-      }
-      mem_row_bytes = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-row-hit-ns" || arg == "--mem-row-miss-ns") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_f64(*v) : std::nullopt;
-      if (!parsed || *parsed < 0.0) {
-        std::cerr << "error: " << arg << " needs a latency >= 0 (ns)\n";
-        return 2;
-      }
-      if (arg == "--mem-row-hit-ns") {
-        mem_row_hit_ns = *parsed;
-      } else {
-        mem_row_miss_ns = *parsed;
-      }
-    } else if (arg == "--mem-window") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > 4096) {
-        std::cerr << "error: --mem-window needs a count in [1, 4096]\n";
-        return 2;
-      }
-      mem_window = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-bank-xor") {
-      mem_bank_xor = true;
-    } else if (arg == "--tile-agg-data-bytes" ||
-               arg == "--tile-dnq-data-bytes") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 30)) {
-        std::cerr << "error: " << arg << " needs a size in [1, 2^30]\n";
-        return 2;
-      }
-      if (arg == "--tile-agg-data-bytes") {
-        tile_agg_data_bytes = static_cast<std::uint32_t>(*parsed);
-      } else {
-        tile_dnq_data_bytes = static_cast<std::uint32_t>(*parsed);
-      }
-    } else if (arg == "--tile-dnq-queue0-sixteenths") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed > 16) {
-        std::cerr << "error: --tile-dnq-queue0-sixteenths needs a value in "
-                     "[0, 16]\n";
-        return 2;
-      }
-      tile_dnq_queue0_sixteenths = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--program") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --program needs a .gnna file\n";
-        return 2;
-      }
-      program_path = *v;
     } else if (arg == "--emit-program") {
       const auto v = next();
       if (!v || v->empty()) {
@@ -572,48 +349,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Memory overrides apply on top of whichever --config was chosen
-  // (flag order doesn't matter).
-  if (mem_scheduler) cfg.mem_params.scheduler = *mem_scheduler;
-  if (mem_banks) cfg.mem_params.banks = *mem_banks;
-  if (mem_row_bytes) cfg.mem_params.row_bytes = *mem_row_bytes;
-  if (mem_row_hit_ns) cfg.mem_params.row_hit_ns = *mem_row_hit_ns;
-  if (mem_row_miss_ns) cfg.mem_params.row_miss_ns = *mem_row_miss_ns;
-  if (mem_window) cfg.mem_params.window_entries = *mem_window;
-  if (mem_bank_xor) cfg.mem_params.bank_xor = true;
-  if (tile_agg_data_bytes) {
-    cfg.tile_params.agg_data_bytes = *tile_agg_data_bytes;
-  }
-  if (tile_dnq_data_bytes) {
-    cfg.tile_params.dnq_data_bytes = *tile_dnq_data_bytes;
-  }
-  if (tile_dnq_queue0_sixteenths) {
-    cfg.tile_params.dnq_queue0_sixteenths = *tile_dnq_queue0_sixteenths;
-  }
+  // The single-run request; also checks the memory parameters the flags
+  // set before any batch line builds on them.
+  sim::RunRequest req;
   try {
-    mem::validate(cfg.mem_params);
+    req = sim::make_request(spec);
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
+  req.watchdog_cycles = watchdog;
+  req.trace.profile = profile;
 
   sim::Session& session = sim::Session::global();
 
   // ---- Compile-only mode: emit the benchmark's program as GNNA-IR text.
   if (!emit_program_path.empty()) {
-    if (!benchmark) {
+    if (!req.benchmark) {
       std::cerr << "error: --emit-program needs --benchmark\n";
       return 2;
     }
-    if (!batch_path.empty() || !program_path.empty()) {
+    if (!batch_path.empty() || !req.program_file.empty()) {
       std::cerr << "error: --emit-program excludes --batch and --program\n";
       return 2;
     }
-    sim::RunRequest req;
-    req.benchmark = benchmark;
-    req.config = cfg.with_core_clock(clock_ghz);
-    req.partition = partition;
-    req.seed = seed;
     try {
       const sim::Session::Resolved r = session.resolve(req);
       accel::ir::save_file(*r.program, emit_program_path);
@@ -631,7 +390,7 @@ int main(int argc, char** argv) {
 
   // ---- Batch mode: manifest -> BatchRunner -> summary table / JSON.
   if (!batch_path.empty()) {
-    if (!program_path.empty()) {
+    if (!req.program_file.empty()) {
       std::cerr << "error: --program is single-run only; use program= "
                    "manifest tokens in --batch mode\n";
       return 2;
@@ -641,24 +400,9 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot open manifest " << batch_path << '\n';
       return 2;
     }
-    sim::RunRequest defaults;
-    defaults.config = cfg;
-    defaults.clock_ghz = clock_ghz;
-    defaults.threads = threads;
-    defaults.partition = partition;
-    defaults.seed = seed;
-    defaults.watchdog_cycles = watchdog;
-    defaults.verify = verify;
-    defaults.optimize = optimize;
-    defaults.trace.attribution = attribution;
-    if (attribution_top_k) {
-      defaults.trace.attribution_top_k = *attribution_top_k;
-    }
-    defaults.attribution_from = attribution_from;
-
     std::vector<sim::RunRequest> requests;
     try {
-      requests = sim::parse_batch_manifest(manifest, defaults, batch_path);
+      requests = sim::parse_batch_manifest(manifest, spec, batch_path);
     } catch (const std::invalid_argument& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 2;
@@ -671,8 +415,9 @@ int main(int argc, char** argv) {
       std::cerr << "warning: --energy is single-run only; ignored in "
                    "--batch mode\n";
     }
-    if (profile) {
-      for (sim::RunRequest& rq : requests) rq.trace.profile = true;
+    for (sim::RunRequest& rq : requests) {
+      rq.watchdog_cycles = watchdog;
+      rq.trace.profile = profile;
     }
 
     // Per-run observability files (a shared sink would interleave events
@@ -717,8 +462,8 @@ int main(int argc, char** argv) {
       const sim::RunRequest& rq = requests[i];
       const sim::RunResult& r = results[i];
       t.add_row({std::to_string(i), gnn::benchmark_name(*rq.benchmark),
-                 rq.config.name, format_double(rq.clock_ghz.value_or(2.4), 1),
-                 std::to_string(rq.threads.value_or(16)),
+                 rq.config.name, format_double(rq.config.core_clock.ghz(), 1),
+                 std::to_string(rq.config.tile_params.gpe_threads),
                  std::to_string(rq.seed),
                  r.ok() ? format_double(r.stats.millis, 3) : "error",
                  r.ok() ? std::to_string(r.stats.cycles) : r.error});
@@ -760,8 +505,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Single-run mode.
-  if (!benchmark) {
-    if (!program_path.empty()) {
+  if (!req.benchmark) {
+    if (!req.program_file.empty()) {
       std::cerr << "error: --program also needs --benchmark (it names the "
                    "dataset the program runs against)\n";
       return 2;
@@ -769,23 +514,6 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
-
-  cfg = cfg.with_core_clock(clock_ghz);
-  cfg.tile_params.gpe_threads = threads;
-
-  sim::RunRequest req;
-  req.benchmark = benchmark;
-  req.program_file = program_path;
-  req.config = cfg;
-  req.partition = partition;
-  req.seed = seed;
-  req.watchdog_cycles = watchdog;
-  req.verify = verify;
-  req.optimize = optimize;
-  req.trace.profile = profile;
-  req.trace.attribution = attribution;
-  if (attribution_top_k) req.trace.attribution_top_k = *attribution_top_k;
-  req.attribution_from = attribution_from;
 
   // Observability outputs. The streams must outlive run(); the trace
   // sink's destructor closes the JSON document.
@@ -810,8 +538,7 @@ int main(int argc, char** argv) {
               << trace_path << '\n';
   }
 
-  print_single_run_report(rs, *benchmark, cfg, clock_ghz, threads,
-                          want_energy);
+  print_single_run_report(rs, *req.benchmark, req.config, want_energy);
 
   if (rs.profile) {
     std::cout << '\n';

@@ -39,6 +39,7 @@
 #include "accel/verify.hpp"
 #include "sim/manifest.hpp"
 #include "sim/session.hpp"
+#include "sim/stats_json.hpp"
 
 namespace {
 
@@ -54,18 +55,7 @@ void usage(std::ostream& os) {
         "  --bind <benchmark>    dataset the .gnna files are checked\n"
         "                        against; without it the topology checks\n"
         "                        are skipped and GV107 warns\n"
-        "  --benchmark <name>    lint one benchmark (repeatable)\n"
         "  --all                 lint every built-in benchmark\n"
-        "  --config <name>       cpu-iso-bw | gpu-iso-bw | gpu-iso-flops\n"
-        "                        (default cpu-iso-bw; sets the tile\n"
-        "                        parameters programs are checked against\n"
-        "                        and the mesh/memory shape GV108 and the\n"
-        "                        GV2xx perf lints check)\n"
-        "  --partition <policy>  round-robin | block | degree-greedy |\n"
-        "                        profile-guided (default round-robin;\n"
-        "                        modeled by the GV204 imbalance lint)\n"
-        "  --threads <n>         GPE software-thread override\n"
-        "  --seed <n>            dataset seed (default 2020)\n"
         "  --fix                 for each GV2xx perf lint, search a minimal\n"
         "                        config adjustment that clears it and print\n"
         "                        the patched manifest snippet\n"
@@ -74,7 +64,11 @@ void usage(std::ostream& os) {
         "  --werror              treat warnings as errors\n"
         "  --quiet               print only programs with findings\n"
         "  --list-codes          print the lint-code catalog and exit\n"
-        "  --help                this text\n";
+        "  --help                this text\n"
+        "run flags (gnnasim's; defaults for every manifest line, and the\n"
+        "config, partition and seed the lints check; --benchmark is\n"
+        "repeatable and lints each one):\n";
+  sim::print_run_flags(os);
 }
 
 void print_codes(std::ostream& os) {
@@ -93,59 +87,6 @@ void print_codes(std::ostream& os) {
   }
 }
 
-const char* partition_name(graph::PartitionPolicy p) {
-  switch (p) {
-    case graph::PartitionPolicy::kRoundRobin: return "round-robin";
-    case graph::PartitionPolicy::kBlock: return "block";
-    case graph::PartitionPolicy::kDegreeGreedy: return "degree-greedy";
-    case graph::PartitionPolicy::kProfileGuided: return "profile-guided";
-  }
-  return "?";
-}
-
-/// Dedup key: two requests with the same workload and tile parameters
-/// produce the same report (repeat=N manifest lines collapse to one lint).
-/// Also the program's name in --json output, so keep it readable.
-std::string request_key(const sim::RunRequest& req) {
-  std::string k = req.benchmark ? gnn::benchmark_name(*req.benchmark) : "?";
-  if (!req.program_file.empty()) k += "|program=" + req.program_file;
-  k += "|seed=" + std::to_string(req.seed);
-  k += "|config=" + req.config.name;
-  if (req.threads) k += "|threads=" + std::to_string(*req.threads);
-  k += std::string("|partition=") + partition_name(req.partition);
-  // Manifest mem_*/tile_* tokens override config fields without changing
-  // its name; fold the lint-relevant ones into the key (only when they
-  // differ from the pristine named config) so such lines don't collapse
-  // into the base config's report.
-  const accel::AcceleratorConfig* base = nullptr;
-  static const accel::AcceleratorConfig kBases[] = {
-      accel::AcceleratorConfig::cpu_iso_bw(),
-      accel::AcceleratorConfig::gpu_iso_bw(),
-      accel::AcceleratorConfig::gpu_iso_flops()};
-  for (const auto& b : kBases) {
-    if (b.name == req.config.name) base = &b;
-  }
-  const accel::TileParams& tp = req.config.tile_params;
-  if (!base || tp.agg_data_bytes != base->tile_params.agg_data_bytes ||
-      tp.dnq_data_bytes != base->tile_params.dnq_data_bytes ||
-      tp.dnq_queue0_sixteenths != base->tile_params.dnq_queue0_sixteenths) {
-    k += "|tile=" + std::to_string(tp.agg_data_bytes) + "," +
-         std::to_string(tp.dnq_data_bytes) + "," +
-         std::to_string(tp.dnq_queue0_sixteenths);
-  }
-  const mem::MemParams& mp = req.config.mem_params;
-  if (!base || mp.scheduler != base->mem_params.scheduler ||
-      mp.banks != base->mem_params.banks ||
-      mp.bank_xor != base->mem_params.bank_xor ||
-      mp.bank_interleave_bytes != base->mem_params.bank_interleave_bytes) {
-    k += "|mem=" + std::to_string(static_cast<int>(mp.scheduler)) + "," +
-         std::to_string(mp.banks) + "," +
-         std::to_string(mp.bank_interleave_bytes) + "," +
-         std::to_string(static_cast<int>(mp.bank_xor));
-  }
-  return k;
-}
-
 [[nodiscard]] bool has_gnna_extension(const std::string& path) {
   const std::string ext = accel::ir::kIrExtension;
   return path.size() > ext.size() &&
@@ -154,34 +95,11 @@ std::string request_key(const sim::RunRequest& req) {
 
 /// One linted program's findings, collected for --json / --fix output.
 struct LintedProgram {
-  std::string name;  // request key or file path
+  std::string name;  // manifest line or file path
   accel::VerifyReport report;
   std::vector<accel::FixSuggestion> fixes;
   std::string failure;  // compile/parse error, if any
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Machine-readable diagnostics: the CI verify-programs artifact. v2
 /// records the --werror promotion state per diagnostic ("promoted" +
@@ -194,9 +112,9 @@ void write_json(std::ostream& os, const std::vector<LintedProgram>& linted,
   for (std::size_t i = 0; i < linted.size(); ++i) {
     const LintedProgram& lp = linted[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-       << json_escape(lp.name) << "\"";
+       << sim::json_escape(lp.name) << "\"";
     if (!lp.failure.empty()) {
-      os << ", \"failure\": \"" << json_escape(lp.failure) << "\"";
+      os << ", \"failure\": \"" << sim::json_escape(lp.failure) << "\"";
     }
     os << ", \"diagnostics\": [";
     for (std::size_t d = 0; d < lp.report.diagnostics.size(); ++d) {
@@ -212,8 +130,8 @@ void write_json(std::ostream& os, const std::vector<LintedProgram>& linted,
          << ", \"family\": \""
          << accel::lint_family_name(accel::lint_code_family(diag.code))
          << "\", \"phase\": " << diag.phase << ", \"phase_name\": \""
-         << json_escape(diag.phase_name) << "\", \"message\": \""
-         << json_escape(diag.message) << "\"}";
+         << sim::json_escape(diag.phase_name) << "\", \"message\": \""
+         << sim::json_escape(diag.message) << "\"}";
     }
     os << (lp.report.diagnostics.empty() ? "]" : "\n    ]");
     if (!lp.fixes.empty()) {
@@ -223,8 +141,8 @@ void write_json(std::ostream& os, const std::vector<LintedProgram>& linted,
         os << (f == 0 ? "\n" : ",\n") << "      {\"code\": \""
            << accel::lint_code_name(fix.code) << "\", \"verified\": "
            << (fix.verified ? "true" : "false") << ", \"description\": \""
-           << json_escape(fix.description) << "\", \"manifest_snippet\": \""
-           << json_escape(fix.manifest_snippet) << "\"}";
+           << sim::json_escape(fix.description) << "\", \"manifest_snippet\": \""
+           << sim::json_escape(fix.manifest_snippet) << "\"}";
       }
       os << "\n    ]";
     }
@@ -268,12 +186,9 @@ void print_fixes(std::ostream& os, const LintedProgram& lp) {
 int main(int argc, char** argv) {
   std::vector<std::string> manifests;
   std::vector<std::string> program_files;
-  std::vector<gnn::Benchmark> benchmarks;
+  std::vector<std::string> benchmarks;
   std::optional<gnn::Benchmark> bind;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  std::optional<std::uint32_t> threads;
-  graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
-  std::uint64_t seed = 2020;
+  sim::RunSpec defaults;
   bool werror = false;
   bool quiet = false;
   bool fix = false;
@@ -285,6 +200,15 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    try {
+      if (sim::parse_run_flag(argc, argv, i, defaults)) {
+        if (arg == "--benchmark") benchmarks.emplace_back(argv[i]);
+        continue;
+      }
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 2;
+    }
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       return 0;
@@ -293,16 +217,7 @@ int main(int argc, char** argv) {
       print_codes(std::cout);
       return 0;
     }
-    if (arg == "--benchmark") {
-      const auto v = next();
-      const auto b = v ? sim::benchmark_by_name(*v) : std::nullopt;
-      if (!b) {
-        std::cerr << "error: --benchmark needs a known name (try gnnasim"
-                     " --list)\n";
-        return 2;
-      }
-      benchmarks.push_back(*b);
-    } else if (arg == "--bind") {
+    if (arg == "--bind") {
       const auto v = next();
       const auto b = v ? sim::benchmark_by_name(*v) : std::nullopt;
       if (!b) {
@@ -313,42 +228,8 @@ int main(int argc, char** argv) {
       bind = *b;
     } else if (arg == "--all") {
       for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
-        benchmarks.push_back(b);
+        benchmarks.emplace_back(gnn::benchmark_name(b));
       }
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: --config needs cpu-iso-bw | gpu-iso-bw |"
-                     " gpu-iso-flops\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--partition") {
-      const auto v = next();
-      const auto p = v ? sim::partition_by_name(*v) : std::nullopt;
-      if (!p) {
-        std::cerr << "error: --partition needs round-robin | block |"
-                     " degree-greedy | profile-guided\n";
-        return 2;
-      }
-      partition = *p;
-    } else if (arg == "--threads") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n || *n == 0 || *n > 4096) {
-        std::cerr << "error: --threads must be in [1, 4096]\n";
-        return 2;
-      }
-      threads = static_cast<std::uint32_t>(*n);
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *n;
     } else if (arg == "--fix") {
       fix = true;
     } else if (arg == "--json") {
@@ -373,13 +254,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Collect every request to lint.
-  std::vector<sim::RunRequest> requests;
-  sim::RunRequest defaults;
-  defaults.config = cfg;
-  defaults.threads = threads;
-  defaults.partition = partition;
-  defaults.seed = seed;
+  // Collect every run to lint, each described by its run keys.
+  std::vector<sim::RunSpec> runs;
   for (const std::string& path : manifests) {
     std::ifstream in(path);
     if (!in) {
@@ -387,20 +263,28 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      auto reqs = sim::parse_batch_manifest(in, defaults, path);
-      requests.insert(requests.end(), reqs.begin(), reqs.end());
+      const auto specs = sim::read_manifest(in, defaults, path);
+      runs.insert(runs.end(), specs.begin(), specs.end());
     } catch (const std::invalid_argument& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 2;
     }
   }
-  for (const gnn::Benchmark b : benchmarks) {
-    sim::RunRequest req = defaults;
-    req.benchmark = b;
-    requests.push_back(req);
+  for (const std::string& b : benchmarks) {
+    sim::RunSpec spec = defaults;
+    spec["benchmark"] = b;
+    runs.push_back(std::move(spec));
   }
-  if (requests.empty() && program_files.empty()) {
+  if (runs.empty() && program_files.empty()) {
     usage(std::cerr);
+    return 2;
+  }
+  // The run flags alone describe what .gnna files are checked against.
+  sim::RunRequest base;
+  try {
+    base = sim::make_request(defaults);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
 
@@ -411,20 +295,17 @@ int main(int argc, char** argv) {
 
   const auto lint_one = [&](std::string name,
                             const accel::CompiledProgram& prog,
-                            const accel::TileParams& params,
                             const graph::Dataset* ds,
-                            const accel::AcceleratorConfig& config,
-                            graph::PartitionPolicy part) {
+                            const sim::RunRequest& req) {
     LintedProgram lp;
     lp.name = std::move(name);
-    lp.report = accel::verify_program(prog, params, ds, &config, part);
+    lp.report = accel::verify_program(prog, req.config.tile_params, ds,
+                                      &req.config, req.partition);
     if (fix && fired_perf_lint(lp.report)) {
-      accel::AcceleratorConfig search_cfg = config;
-      search_cfg.tile_params = params;  // honor --threads in the search
       accel::AnalysisOptions opt;
       opt.dataset = ds;
-      opt.partition = part;
-      lp.fixes = accel::suggest_fixes(prog, search_cfg, opt);
+      opt.partition = req.partition;
+      lp.fixes = accel::suggest_fixes(prog, req.config, opt);
     }
     ++programs;
     errors += lp.report.num_errors();
@@ -436,37 +317,35 @@ int main(int argc, char** argv) {
     linted.push_back(std::move(lp));
   };
 
-  for (const sim::RunRequest& req : requests) {
-    if (!seen.insert(request_key(req)).second) continue;
+  // Runs with the same keys get the same report, so repeat=N lines lint
+  // once. The manifest line also names the program in --json output.
+  for (const sim::RunSpec& spec : runs) {
+    const std::string key = sim::to_manifest_line(spec);
+    if (!seen.insert(key).second) continue;
+    const sim::RunRequest req = sim::make_request(spec);
     sim::Session::Resolved resolved;
     try {
       resolved = session.resolve(req);
     } catch (const std::exception& e) {
       // A workload the compiler itself rejects is a lint failure too.
-      std::cerr << request_key(req) << ": compile failed: " << e.what()
-                << '\n';
+      std::cerr << key << ": compile failed: " << e.what() << '\n';
       LintedProgram lp;
-      lp.name = request_key(req);
+      lp.name = key;
       lp.failure = e.what();
       linted.push_back(std::move(lp));
       ++programs;
       ++errors;
       continue;
     }
-    accel::TileParams params = req.config.tile_params;
-    if (req.threads) params.gpe_threads = *req.threads;
-    lint_one(request_key(req), *resolved.program, params,
-             resolved.dataset.get(), req.config, req.partition);
+    lint_one(key, *resolved.program, resolved.dataset.get(), req);
   }
 
   // Direct GNNA-IR files: parse, then lint (against the --bind dataset's
   // topology if given).
   std::shared_ptr<const graph::Dataset> bound;
   if (bind && !program_files.empty()) {
-    bound = session.dataset(gnn::benchmark_dataset(*bind), seed);
+    bound = session.dataset(gnn::benchmark_dataset(*bind), base.seed);
   }
-  accel::TileParams file_params = cfg.tile_params;
-  if (threads) file_params.gpe_threads = *threads;
   for (const std::string& path : program_files) {
     accel::CompiledProgram prog;
     try {
@@ -483,7 +362,7 @@ int main(int argc, char** argv) {
       ++errors;
       continue;
     }
-    lint_one(path, prog, file_params, bound.get(), cfg, partition);
+    lint_one(path, prog, bound.get(), base);
   }
 
   if (!json_path.empty()) {
