@@ -54,6 +54,10 @@ void BM_NocTickLoaded(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations());
+  // Read as host time per flit hop, the unit of noc.host_ns_per_flit_hop.
+  state.counters["flit_hops"] = benchmark::Counter(
+      static_cast<double>(net.stats().flit_hops.value()),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_NocTickLoaded)->Arg(2)->Arg(4)->Arg(6);
 

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
@@ -44,17 +45,23 @@ namespace {
 
 Router::Router(std::uint32_t x, std::uint32_t y, std::uint32_t num_local_ports,
                const NocParams& params)
-    : x_(x), y_(y), num_local_(num_local_ports), params_(params) {
-  buffers_.resize(num_ports());
-  outputs_.resize(num_ports());
-  input_moved_.resize(num_ports(), 0);
-}
+    : x_(x),
+      y_(y),
+      num_local_(num_local_ports),
+      capacity_(params.input_buffer_flits),
+      slots_(static_cast<std::size_t>(num_ports()) * capacity_),
+      inputs_(num_ports()),
+      outputs_(num_ports()) {}
 
 MeshNetwork::MeshNetwork(std::uint32_t width, std::uint32_t height,
                          NocParams params)
     : width_(width), height_(height), params_(params) {
   if (width == 0 || height == 0) {
     throw std::invalid_argument("MeshNetwork: empty mesh");
+  }
+  if (params.input_buffer_flits == 0) {
+    // No flit could ever be injected, so idle() would never return true.
+    throw std::invalid_argument("MeshNetwork: zero-flit input buffers");
   }
   local_ports_per_router_.assign(
       static_cast<std::size_t>(width) * height, 0);
@@ -67,11 +74,14 @@ EndpointId MeshNetwork::add_endpoint(std::uint32_t x, std::uint32_t y) {
   if (x >= width_ || y >= height_) {
     throw std::out_of_range("MeshNetwork: endpoint off the mesh");
   }
+  std::uint32_t& locals = local_ports_per_router_[router_index(x, y)];
+  if (kFirstLocalPort + locals == kMaxRouterPorts) {
+    throw std::length_error("MeshNetwork: too many endpoints on one router");
+  }
   EndpointState ep;
   ep.x = x;
   ep.y = y;
-  ep.local_port = kFirstLocalPort + local_ports_per_router_[router_index(x, y)];
-  ++local_ports_per_router_[router_index(x, y)];
+  ep.local_port = kFirstLocalPort + locals++;
   endpoints_.push_back(ep);
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
@@ -87,27 +97,35 @@ void MeshNetwork::finalize() {
     }
   }
   // Mesh link credits: each output that has a neighbor starts with the
-  // neighbor's full input buffer.
-  for (auto& r : routers_) {
-    if (r.y() + 1 < height_) r.outputs_[kPortNorth].credits = params_.input_buffer_flits;
-    if (r.y() > 0) r.outputs_[kPortSouth].credits = params_.input_buffer_flits;
-    if (r.x() + 1 < width_) r.outputs_[kPortEast].credits = params_.input_buffer_flits;
-    if (r.x() > 0) r.outputs_[kPortWest].credits = params_.input_buffer_flits;
-  }
-  for (auto& ep : endpoints_) {
-    ep.injection_credits = params_.input_buffer_flits;
-  }
-  // Credit-return map: local input port -> owning endpoint, so the hot
-  // path needs no O(endpoints) scan.
-  local_port_owner_.resize(routers_.size());
+  // neighbor's full input buffer, and a flit leaving an input returns its
+  // credit to that neighbor's opposite output. A local input returns it to
+  // the endpoint injecting there.
+  port_base_.reserve(routers_.size());
   for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
-    local_port_owner_[ri].assign(local_ports_per_router_[ri],
-                                 kInvalidEndpoint);
+    Router& r = routers_[ri];
+    port_base_.push_back(static_cast<std::uint32_t>(credit_target_.size()));
+    credit_target_.resize(credit_target_.size() + r.num_ports());
+    const bool linked[] = {r.y() + 1 < height_, r.y() > 0,
+                           r.x() + 1 < width_, r.x() > 0};
+    for (std::uint32_t p = 0; p < kFirstLocalPort; ++p) {
+      if (!linked[p]) continue;
+      r.outputs_[p].credits = params_.input_buffer_flits;
+      credit_target_[port_base_[ri] + p] = {neighbor(ri, p), opposite(p)};
+    }
   }
   for (EndpointId e = 0; e < endpoints_.size(); ++e) {
-    const EndpointState& ep = endpoints_[e];
-    local_port_owner_[router_index(ep.x, ep.y)]
-                     [ep.local_port - kFirstLocalPort] = e;
+    EndpointState& ep = endpoints_[e];
+    ep.injection_credits = params_.input_buffer_flits;
+    credit_target_[port_base_[router_index(ep.x, ep.y)] + ep.local_port]
+        .endpoint = e;
+  }
+  // Route table: the cycle loop looks up one byte per head-of-line flit.
+  route_table_.resize(routers_.size() * endpoints_.size());
+  std::size_t entry = 0;
+  for (const Router& r : routers_) {
+    for (EndpointId dst = 0; dst < endpoints_.size(); ++dst) {
+      route_table_[entry++] = static_cast<std::uint8_t>(route(r, dst));
+    }
   }
 }
 
@@ -159,6 +177,20 @@ std::size_t MeshNetwork::injection_queue_depth(EndpointId ep) const {
   return endpoints_.at(ep).injection.size();
 }
 
+std::uint32_t MeshNetwork::neighbor(std::uint32_t ri,
+                                    std::uint32_t port) const {
+  switch (port) {
+    case kPortNorth:
+      return ri + width_;
+    case kPortSouth:
+      return ri - width_;
+    case kPortEast:
+      return ri + 1;
+    default:
+      return ri - 1;
+  }
+}
+
 std::uint32_t MeshNetwork::route(const Router& r, EndpointId dst) const {
   const EndpointState& d = endpoints_[dst];
   if (params_.routing == RoutingAlgorithm::kYX) {
@@ -176,96 +208,59 @@ std::uint32_t MeshNetwork::route(const Router& r, EndpointId dst) const {
 }
 
 void MeshNetwork::apply_credits() {
-  while (!credits_.empty() && credits_.front().ready_at <= now_) {
-    const CreditReturn& cr = credits_.front();
-    if (cr.to_endpoint) {
-      ++endpoints_[cr.endpoint].injection_credits;
+  // Every credit is issued one cycle before it may be used, so all of
+  // last tick's credits mature now.
+  for (const std::uint32_t c : credits_) {
+    const CreditTarget& t = credit_target_[c];
+    if (t.endpoint != kInvalidEndpoint) {
+      ++endpoints_[t.endpoint].injection_credits;
     } else {
-      ++routers_[cr.router].outputs_[cr.port].credits;
+      ++routers_[t.router].outputs_[t.port].credits;
     }
-    credits_.pop_front();
   }
-}
-
-void MeshNetwork::return_credit_for_input(std::uint32_t router,
-                                          std::uint32_t port) {
-  CreditReturn cr;
-  cr.ready_at = now_ + 1;
-  const Router& r = routers_[router];
-  if (port >= kFirstLocalPort) {
-    // Local input: credit goes back to the endpoint occupying that port
-    // (precomputed in finalize()).
-    const EndpointId e = local_port_owner_[router][port - kFirstLocalPort];
-    assert(e != kInvalidEndpoint && "local input port without endpoint");
-    cr.to_endpoint = true;
-    cr.endpoint = e;
-    credits_.push_back(cr);
-    return;
-  }
-  // Mesh input: upstream router's matching output regains a credit.
-  std::uint32_t ux = r.x();
-  std::uint32_t uy = r.y();
-  switch (port) {
-    case kPortNorth:
-      uy += 1;  // flit came from the router above, via its South output
-      break;
-    case kPortSouth:
-      uy -= 1;
-      break;
-    case kPortEast:
-      ux += 1;
-      break;
-    case kPortWest:
-      ux -= 1;
-      break;
-    default:
-      break;
-  }
-  cr.router = router_index(ux, uy);
-  cr.port = opposite(port);
-  credits_.push_back(cr);
+  credits_.clear();
 }
 
 void MeshNetwork::phase_route() {
+  const std::size_t num_eps = endpoints_.size();
   for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
     Router& r = routers_[ri];
     if (r.buffered_flits_ == 0) continue;  // nothing to arbitrate
-    for (auto& out : r.outputs_) out.busy_this_cycle = false;
-    std::fill(r.input_moved_.begin(), r.input_moved_.end(),
-              static_cast<std::uint8_t>(0));
-
-    // Gather head-of-line requests: input -> desired output.
     const std::uint32_t ports = r.num_ports();
-    for (std::uint32_t o = 0; o < ports; ++o) {
+    const std::uint8_t* routes = &route_table_[ri * num_eps];
+
+    // Head-of-line requests, one per non-empty input. An input asks for
+    // exactly one output, so it wins at most one per cycle: each input
+    // port drives one crossbar connection.
+    std::array<std::uint32_t, kMaxRouterPorts> requesters{};  // per output
+    std::uint32_t requested = 0;  // outputs with at least one request
+    std::uint32_t heads = 0;      // inputs whose front flit is a head
+    for (std::uint32_t i = 0; i < ports; ++i) {
+      if (r.inputs_[i].count == 0) continue;
+      const Flit& f = r.front(i);
+      const std::uint32_t o = routes[f.dst];
+      requested |= 1U << o;
+      requesters[o] |= 1U << i;
+      if (f.head) heads |= 1U << i;
+    }
+
+    // Outputs in ascending order, which fixes the push order of links_.
+    for (; requested != 0; requested &= requested - 1) {
+      const auto o = static_cast<std::uint32_t>(std::countr_zero(requested));
       Router::OutputState& out = r.outputs_[o];
-      if (out.busy_this_cycle) continue;
-
-      // Pick the winning input for output o. An input that already
-      // forwarded a flit this cycle is out of the running: each input
-      // port drives one crossbar connection per cycle.
-      int winner = -1;
+      std::uint32_t wi = 0;
       if (out.locked_input >= 0) {
-        const auto i = static_cast<std::uint32_t>(out.locked_input);
-        if (r.input_moved_[i] == 0 && !r.buffers_[i].empty() &&
-            route(r, r.buffers_[i].front().dst) == o) {
-          winner = out.locked_input;
-        }
+        wi = static_cast<std::uint32_t>(out.locked_input);
+        if (((requesters[o] >> wi) & 1) == 0) continue;
       } else {
-        for (std::uint32_t step = 0; step < ports; ++step) {
-          const std::uint32_t i = (out.rr_next + step) % ports;
-          if (r.input_moved_[i] != 0) continue;
-          if (r.buffers_[i].empty()) continue;
-          const Flit& f = r.buffers_[i].front();
-          if (!f.head) continue;  // body flits only follow a lock
-          if (route(r, f.dst) != o) continue;
-          winner = static_cast<int>(i);
-          break;
-        }
+        // Round robin from rr_next; body flits only follow a lock.
+        const std::uint32_t candidates = requesters[o] & heads;
+        if (candidates == 0) continue;
+        const std::uint32_t from_next = candidates & (~0U << out.rr_next);
+        wi = static_cast<std::uint32_t>(
+            std::countr_zero(from_next != 0 ? from_next : candidates));
       }
-      if (winner < 0) continue;
-
-      const auto wi = static_cast<std::uint32_t>(winner);
-      const Flit f = r.buffers_[wi].front();
+      const Flit f = r.front(wi);
 
       const bool is_mesh_out = o < kFirstLocalPort;
       if (is_mesh_out) {
@@ -276,38 +271,17 @@ void MeshNetwork::phase_route() {
       // Commit the move. The round-robin pointer advances only here — a
       // grant that stalled on credits keeps its priority next cycle
       // instead of silently rotating past a starved input.
-      r.buffers_[wi].pop_front();
-      --r.buffered_flits_;
-      out.busy_this_cycle = true;
-      r.input_moved_[wi] = 1;
+      r.pop(wi);
       if (out.locked_input < 0) out.rr_next = (wi + 1) % ports;
-      if (f.head) out.locked_input = winner;
+      if (f.head) out.locked_input = static_cast<int>(wi);
       if (f.tail) out.locked_input = -1;
-      return_credit_for_input(ri, wi);
+      credits_.push_back(port_base_[ri] + wi);
 
       LinkEntry le;
       le.ready_at = now_ + params_.link_delay;
       le.flit = f;
       if (is_mesh_out) {
-        std::uint32_t nx = r.x();
-        std::uint32_t ny = r.y();
-        switch (o) {
-          case kPortNorth:
-            ny += 1;
-            break;
-          case kPortSouth:
-            ny -= 1;
-            break;
-          case kPortEast:
-            nx += 1;
-            break;
-          case kPortWest:
-            nx -= 1;
-            break;
-          default:
-            break;
-        }
-        le.dst_router = router_index(nx, ny);
+        le.dst_router = neighbor(ri, o);
         le.dst_port = opposite(o);
         stats_.flit_hops.add();
       } else {
@@ -315,7 +289,6 @@ void MeshNetwork::phase_route() {
         le.endpoint = f.dst;
       }
       links_.push_back(le);
-      out.busy.tick(true);
     }
   }
 }

@@ -117,12 +117,12 @@ class MeshNetwork {
     EndpointId endpoint = kInvalidEndpoint;
   };
 
-  struct CreditReturn {
-    Cycle ready_at = 0;
-    // Either a router output port or an endpoint injection credit.
+  // Where a flit leaving a router input returns its credit: the upstream
+  // router's output port, or the injection credit of `endpoint` when the
+  // input is a local port.
+  struct CreditTarget {
     std::uint32_t router = 0;
     std::uint32_t port = 0;
-    bool to_endpoint = false;
     EndpointId endpoint = kInvalidEndpoint;
   };
 
@@ -131,15 +131,19 @@ class MeshNetwork {
     return y * width_ + x;
   }
 
-  /// Output port a flit at router (x, y) should take toward `dst` (XY
-  /// dimension-order: X first, then Y, then the local port).
+  /// Router index of the mesh neighbor across direction `port` (N/S/E/W).
+  [[nodiscard]] std::uint32_t neighbor(std::uint32_t ri,
+                                       std::uint32_t port) const;
+
+  /// Output port a flit at router (x, y) should take toward `dst`
+  /// (dimension order per NocParams::routing, then the local port). Only
+  /// finalize() calls it, to fill route_table_.
   [[nodiscard]] std::uint32_t route(const Router& r, EndpointId dst) const;
 
   void apply_credits();
   void phase_route();
   void phase_arrive();
   void phase_inject();
-  void return_credit_for_input(std::uint32_t router, std::uint32_t port);
 
   std::uint32_t width_;
   std::uint32_t height_;
@@ -150,12 +154,16 @@ class MeshNetwork {
 
   std::vector<Router> routers_;
   std::vector<std::uint32_t> local_ports_per_router_;
-  // (router, local port - kFirstLocalPort) -> owning endpoint, built by
-  // finalize() so credit returns need no endpoint scan.
-  std::vector<std::vector<EndpointId>> local_port_owner_;
   std::vector<EndpointState> endpoints_;
-  std::deque<LinkEntry> links_;          // in-flight flits (small, scanned)
-  std::deque<CreditReturn> credits_;     // in-flight credit returns
+  // Built by finalize(): [router][dst endpoint] -> output port.
+  std::vector<std::uint8_t> route_table_;
+  // Built by finalize(): [port_base_[router] + input port] -> credit target.
+  std::vector<std::uint32_t> port_base_;
+  std::vector<CreditTarget> credit_target_;
+  std::deque<LinkEntry> links_;  // in-flight flits (small, scanned)
+  // Credits issued this cycle (credit_target_ indices); all of them become
+  // usable at the start of the next tick.
+  std::vector<std::uint32_t> credits_;
   std::unordered_map<std::uint64_t, Message> inflight_;
   NocStats stats_;
   trace::Tracer tracer_;

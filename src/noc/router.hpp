@@ -7,16 +7,17 @@
 // router with a single local port.
 //
 // Timing (Table IV): routing delay 1 cycle (input buffer -> crossbar) and
-// link delay 1 cycle (crossbar -> downstream buffer), modeled as a two-phase
-// tick; input buffers hold 4 flits (256B); routing is minimal
-// dimension-order XY, which is deadlock-free on a mesh.
+// link delay 1 cycle (crossbar -> downstream buffer); input buffers hold 4
+// flits (256B); routing is minimal dimension-order XY, which is
+// deadlock-free on a mesh. The routing delay is structural, not a knob: a
+// flit is routed in one tick's route phase and lands downstream in a later
+// tick's arrive phase.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/message.hpp"
 
@@ -33,7 +34,6 @@ enum class RoutingAlgorithm : std::uint8_t {
 struct NocParams {
   std::uint32_t input_buffer_flits = 4;  // 4 flits = 256B
   std::uint32_t link_delay = 1;          // cycles
-  std::uint32_t routing_delay = 1;       // cycles
   RoutingAlgorithm routing = RoutingAlgorithm::kXY;
 };
 
@@ -42,6 +42,8 @@ inline constexpr std::uint32_t kPortSouth = 1;
 inline constexpr std::uint32_t kPortEast = 2;
 inline constexpr std::uint32_t kPortWest = 3;
 inline constexpr std::uint32_t kFirstLocalPort = 4;
+/// Ports per router, bounded by the width of the per-cycle request masks.
+inline constexpr std::uint32_t kMaxRouterPorts = 32;
 
 class MeshNetwork;
 
@@ -59,12 +61,17 @@ class Router {
 
   /// True if input buffer `port` can accept a flit this cycle.
   [[nodiscard]] bool can_accept(std::uint32_t port) const {
-    return buffers_[port].size() < params_.input_buffer_flits;
+    return inputs_[port].count < capacity_;
   }
 
   /// Deposit a flit into input buffer `port` (caller must hold a credit).
   void accept(std::uint32_t port, const Flit& flit) {
-    buffers_[port].push_back(flit);
+    assert(can_accept(port) && "input buffer overflow");
+    InputBuffer& b = inputs_[port];
+    std::uint32_t tail = b.head + b.count;
+    if (tail >= capacity_) tail -= capacity_;
+    slots_[port * capacity_ + tail] = flit;
+    ++b.count;
     ++buffered_flits_;
   }
 
@@ -74,11 +81,17 @@ class Router {
   }
 
   [[nodiscard]] std::size_t buffer_occupancy(std::uint32_t port) const {
-    return buffers_[port].size();
+    return inputs_[port].count;
   }
 
  private:
   friend class MeshNetwork;
+
+  // A fixed ring of `capacity_` slots per input port.
+  struct InputBuffer {
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+  };
 
   struct OutputState {
     // Wormhole: the input port currently holding this output, or -1.
@@ -88,21 +101,27 @@ class Router {
     // Credits available at the downstream input buffer (mesh ports only;
     // local/ejection ports are rate-limited, not credited).
     std::uint32_t credits = 0;
-    // Whether this output already forwarded a flit this cycle.
-    bool busy_this_cycle = false;
-    BusyTracker busy;
   };
+
+  [[nodiscard]] const Flit& front(std::uint32_t port) const {
+    return slots_[port * capacity_ + inputs_[port].head];
+  }
+
+  void pop(std::uint32_t port) {
+    InputBuffer& b = inputs_[port];
+    if (++b.head == capacity_) b.head = 0;
+    --b.count;
+    --buffered_flits_;
+  }
 
   std::uint32_t x_;
   std::uint32_t y_;
   std::uint32_t num_local_;
-  NocParams params_;
+  std::uint32_t capacity_;  // flits per input buffer
   std::uint32_t buffered_flits_ = 0;
-  std::vector<std::deque<Flit>> buffers_;  // per input port
-  std::vector<OutputState> outputs_;       // per output port
-  // Per-cycle crossbar scratch: an input port has one crossbar connection,
-  // so at most one flit may leave it per cycle. Cleared each phase_route.
-  std::vector<std::uint8_t> input_moved_;
+  std::vector<Flit> slots_;           // capacity_ slots per input port
+  std::vector<InputBuffer> inputs_;   // per input port
+  std::vector<OutputState> outputs_;  // per output port
 };
 
 }  // namespace gnna::noc
