@@ -26,11 +26,6 @@ std::uint64_t min_healthy_concurrency(const TileParams& tp) {
 /// hardware) bounds the phase.
 constexpr double kImbalanceThreshold = 1.5;
 
-std::uint32_t split_bytes_for(const TileParams& tp, std::uint32_t sixteenths) {
-  return static_cast<std::uint32_t>(std::uint64_t{tp.dnq_data_bytes} *
-                                    sixteenths / 16);
-}
-
 /// Per-vertex work weights for one phase (contribution counts), or empty
 /// when they cannot be derived statically.
 std::vector<std::uint64_t> per_vertex_loads(const CompiledProgram& prog,
@@ -156,49 +151,23 @@ class PhaseAnalyzer {
  private:
   // ---- scratchpad occupancy under the virtual-queue split ----
   void fill_occupancy(PhaseModel& m) const {
-    std::uint64_t q0_cap = tp_.dnq_data_bytes;
-    std::uint64_t q1_cap = 0;
-    if (ph_.has_dna2() && tp_.dnq_queue0_sixteenths <= 16) {
-      q0_cap = split_bytes_for(tp_, tp_.dnq_queue0_sixteenths);
-      q1_cap = tp_.dnq_data_bytes - q0_cap;
-    }
+    // An out-of-range split is GV010's finding; model the full scratchpad.
+    const std::uint32_t q0_cap = tp_.dnq_queue0_sixteenths <= 16
+                                     ? Dnq::phase_queue0_bytes(tp_, ph_)
+                                     : tp_.dnq_data_bytes;
     m.dnq0.capacity_bytes = q0_cap;
-    m.dnq0.entry_bytes = dnq0_entry_words() * kWordBytes;
+    m.dnq0.entry_bytes = ph_.dnq0_entry_words() * kWordBytes;
     m.dnq0.used = m.dnq0.entry_bytes > 0;
-    m.dnq1.capacity_bytes = q1_cap;
-    if (ph_.has_dna2()) {
-      m.dnq1.entry_bytes =
-          (std::uint64_t{ph_.agg_width_words} + ph_.dna2_gpe_words) *
-          kWordBytes;
-      m.dnq1.used = m.dnq1.entry_bytes > 0;
-    }
+    m.dnq1.capacity_bytes = tp_.dnq_data_bytes - q0_cap;
+    m.dnq1.entry_bytes = ph_.dnq1_entry_words() * kWordBytes;
+    m.dnq1.used = m.dnq1.entry_bytes > 0;
     m.agg.capacity_bytes = tp_.agg_data_bytes;
-    if (ph_.has_agg()) {
-      m.agg.entry_bytes = std::uint64_t{ph_.agg_width_words} * kWordBytes;
-      m.agg.used = true;
-    }
+    m.agg.entry_bytes = ph_.agg_entry_words() * kWordBytes;
+    m.agg.used = ph_.has_agg();
     for (QueueOccupancy* q : {&m.dnq0, &m.dnq1, &m.agg}) {
       q->concurrency =
           q->entry_bytes > 0 ? q->capacity_bytes / q->entry_bytes : 0;
     }
-  }
-
-  [[nodiscard]] std::uint64_t dnq0_entry_words() const {
-    std::uint64_t words = 0;
-    switch (ph_.kind) {
-      case PhaseKind::kGatherAggregate:
-        if (ph_.has_dna()) words = ph_.agg_width_words;
-        break;
-      case PhaseKind::kProject:
-        for (const auto& b : ph_.extra_inputs) words += b.width_words;
-        break;
-      case PhaseKind::kEdgeDnaAggregate:
-        words = std::uint64_t{ph_.gather.width_words} +
-                ph_.gpe_words_per_entry;
-        for (const auto& b : ph_.extra_inputs) words += b.width_words;
-        break;
-    }
-    return words;
   }
 
   // ---- compute terms (GPE / DNA / AGG), core cycles, per-tile max ----
@@ -241,7 +210,7 @@ class PhaseAnalyzer {
         // its array slot; the phase barrier waits for it, so one fill/
         // drain latency per phase is part of the lower bound.
         dna = static_cast<double>(per_tile) *
-                  entry_ii(ii0, ph_.agg_width_words) +
+                  entry_ii(ii0, ph_.dnq0_entry_words()) +
               static_cast<double>(tp_.dna_pipeline_latency);
       }
       if (ph_.has_agg() && tp_.agg_alus > 0) {
@@ -273,10 +242,7 @@ class PhaseAnalyzer {
     double dna_entries_per_contrib = 0.0;
     double dna_ii_q0 = 0.0;
     const double dna_ii_q1 =
-        ph_.has_dna2()
-            ? entry_ii(ii1, std::uint64_t{ph_.agg_width_words} +
-                                ph_.dna2_gpe_words)
-            : 0.0;
+        ph_.has_dna2() ? entry_ii(ii1, ph_.dnq1_entry_words()) : 0.0;
     double agg_words_per_contrib = 0.0;
 
     switch (ph_.kind) {
@@ -285,7 +251,7 @@ class PhaseAnalyzer {
         per_contrib = L + I;
         if (ph_.has_dna()) {
           dna_entries_per_vertex = 1;
-          dna_ii_q0 = entry_ii(ii0, ph_.agg_width_words);
+          dna_ii_q0 = entry_ii(ii0, ph_.dnq0_entry_words());
         }
         agg_words_per_contrib = ph_.gather.width_words;
         break;
@@ -293,9 +259,7 @@ class PhaseAnalyzer {
         fixed += A + static_cast<double>(ph_.extra_inputs.size()) * (L + I);
         if (ph_.has_dna()) {
           dna_entries_per_vertex = 1;
-          std::uint64_t w = 0;
-          for (const auto& b : ph_.extra_inputs) w += b.width_words;
-          dna_ii_q0 = entry_ii(ii0, w);
+          dna_ii_q0 = entry_ii(ii0, ph_.dnq0_entry_words());
         }
         break;
       case PhaseKind::kEdgeDnaAggregate: {
@@ -309,10 +273,7 @@ class PhaseAnalyzer {
                       (ph_.gpe_words_per_entry > 0 ? S : L);
         if (ph_.has_dna()) {
           dna_entries_per_contrib = 1.0;
-          std::uint64_t w = std::uint64_t{ph_.gather.width_words} +
-                            ph_.gpe_words_per_entry;
-          for (const auto& b : ph_.extra_inputs) w += b.width_words;
-          dna_ii_q0 = entry_ii(ii0, w);
+          dna_ii_q0 = entry_ii(ii0, ph_.dnq0_entry_words());
         }
         if (ph_.has_dna2()) dna_entries_per_vertex = 1;
         agg_words_per_contrib = ph_.dna_out_words;
@@ -572,7 +533,9 @@ namespace {
 std::pair<std::uint64_t, std::uint64_t> split_concurrency(
     const TileParams& tp, std::uint64_t entry0_bytes,
     std::uint64_t entry1_bytes, std::uint32_t sixteenths) {
-  const std::uint64_t q0 = split_bytes_for(tp, sixteenths);
+  TileParams split = tp;
+  split.dnq_queue0_sixteenths = sixteenths;
+  const std::uint64_t q0 = Dnq::queue0_split_bytes(split);
   const std::uint64_t q1 = tp.dnq_data_bytes - q0;
   constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
   const std::uint64_t c0 =

@@ -24,6 +24,7 @@
 
 #include "accel/addrmap.hpp"
 #include "accel/config.hpp"
+#include "accel/program.hpp"
 #include "common/stats.hpp"
 #include "noc/message.hpp"
 #include "trace/trace.hpp"
@@ -57,6 +58,16 @@ class Dnq {
   /// byte of `dnq_data_bytes` is accounted for.
   [[nodiscard]] static std::uint32_t queue0_split_bytes(
       const TileParams& params);
+
+  /// Bytes of the data scratchpad virtual queue 0 gets while `phase` runs
+  /// (Algorithm 1's per-layer CONFIG step): all of it, unless the phase
+  /// runs a second model on queue 1; then the default split. Queue 1 gets
+  /// the rest.
+  [[nodiscard]] static std::uint32_t phase_queue0_bytes(
+      const TileParams& params, const PhaseSpec& phase) {
+    return phase.has_dna2() ? queue0_split_bytes(params)
+                            : params.dnq_data_bytes;
+  }
 
   /// Reconfigure the virtual-queue split (allocation bus, per phase).
   /// Frees nothing: must only be called when the queue is empty.

@@ -270,7 +270,8 @@ double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(0, ph.agg_width_words, dest, t.work);
+    auto h = dnq.allocate(
+        0, static_cast<std::uint32_t>(ph.dnq0_entry_words()), dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -387,12 +388,11 @@ double Gpe::step_walk(Thread& t) {
 double Gpe::step_project(Thread& t, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // allocate the DNQ entry
-    std::uint32_t width = 0;
-    for (const auto& b : ph.extra_inputs) width += b.width_words;
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = vertex_addr(ph.output, t.work);
-    auto h = dnq.allocate(0, width, dest, t.work);
+    auto h = dnq.allocate(
+        0, static_cast<std::uint32_t>(ph.dnq0_entry_words()), dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -436,8 +436,8 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(1, ph.agg_width_words + ph.dna2_gpe_words, dest,
-                          t.work);
+    auto h = dnq.allocate(
+        1, static_cast<std::uint32_t>(ph.dnq1_entry_words()), dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -489,13 +489,12 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
          "self contribution cannot carry per-edge inputs");
 
   if (t.loop_sub == 0) {  // allocate queue-0 entry
-    std::uint32_t width = ph.gather.width_words + ph.gpe_words_per_entry;
-    for (const auto& b : ph.extra_inputs) width += b.width_words;
     Dest dest;
     dest.kind = Dest::Kind::kAggEntry;
     dest.ep = ep_agg_;
     dest.handle = t.agg_h;
-    auto h = dnq.allocate(0, width, dest, t.work);
+    auto h = dnq.allocate(
+        0, static_cast<std::uint32_t>(ph.dnq0_entry_words()), dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -563,7 +562,8 @@ double Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(0, ph.agg_width_words, dest, t.work);
+    auto h = dnq.allocate(
+        0, static_cast<std::uint32_t>(ph.dnq0_entry_words()), dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;

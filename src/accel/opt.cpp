@@ -42,8 +42,8 @@ std::size_t use_count(const CompiledProgram& p, RegionId id) {
 
 /// Can phases[i] (a) and phases[i+1] (b) fuse? Mirrors the validator's
 /// match_fusion preconditions (validate.cpp) plus the scratchpad footprint
-/// bound: the fused DNQ-0 entry (agg_width words, full scratchpad since
-/// the fused phase never uses queue 1) must still admit >= 2 concurrent
+/// bound: the fused DNQ-0 entry (a's aggregate, full scratchpad since the
+/// fused phase never uses queue 1) must still admit >= 2 concurrent
 /// entries, or fusion would trade a barrier for thread serialization.
 bool fusable(const CompiledProgram& p, const PhaseSpec& a, const PhaseSpec& b,
              const TileParams& tp) {
@@ -67,8 +67,7 @@ bool fusable(const CompiledProgram& p, const PhaseSpec& a, const PhaseSpec& b,
     return false;
   }
   if (use_count(p, a.output.region) != 2) return false;
-  const std::uint64_t entry_bytes =
-      std::uint64_t{a.agg_width_words} * kWordBytes;
+  const std::uint64_t entry_bytes = a.agg_entry_words() * kWordBytes;
   return entry_bytes > 0 && entry_bytes * 2 <= tp.dnq_data_bytes;
 }
 

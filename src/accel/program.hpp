@@ -180,6 +180,37 @@ struct PhaseSpec {
   [[nodiscard]] bool has_dna() const { return !dna_shapes.empty(); }
   [[nodiscard]] bool has_dna2() const { return !dna2_shapes.empty(); }
   [[nodiscard]] bool has_agg() const { return agg_width_words > 0; }
+
+  // Entry widths, in words, of the scratchpad entries the GPE allocates
+  // per work item; 0 where the phase allocates none. The runtime, the
+  // verifier, the analytic model and the optimizer all size entries here.
+  /// DNQ virtual-queue-0 entry: the aggregate to project (gather kinds),
+  /// the per-vertex inputs (project), or the neighbor vector plus GPE
+  /// words plus extra inputs (edge-DNA).
+  [[nodiscard]] std::uint64_t dnq0_entry_words() const {
+    std::uint64_t words = 0;
+    switch (kind) {
+      case PhaseKind::kGatherAggregate:
+        if (has_dna()) words = agg_width_words;
+        break;
+      case PhaseKind::kProject:
+        for (const auto& b : extra_inputs) words += b.width_words;
+        break;
+      case PhaseKind::kEdgeDnaAggregate:
+        words = std::uint64_t{gather.width_words} + gpe_words_per_entry;
+        for (const auto& b : extra_inputs) words += b.width_words;
+        break;
+    }
+    return words;
+  }
+  /// DNQ virtual-queue-1 entry: the aggregate plus the GPE-copied words.
+  [[nodiscard]] std::uint64_t dnq1_entry_words() const {
+    return has_dna2() ? std::uint64_t{agg_width_words} + dna2_gpe_words : 0;
+  }
+  /// AGG entry: one accumulator vector.
+  [[nodiscard]] std::uint64_t agg_entry_words() const {
+    return agg_width_words;
+  }
 };
 
 /// Per-graph topology placement in the address space. The vertex/edge

@@ -22,15 +22,9 @@ void Tile::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                        std::vector<std::uint32_t> work) {
   assert(idle() && "begin_phase on a busy tile");
 
-  // Virtual-queue split: all of the scratchpad to queue 0 unless the phase
-  // runs a second DNN model (Algorithm 1's per-layer CONFIG step).
   const TileParams& tp = cfg_.tile_params;
-  if (phase.has_dna2()) {
-    const std::uint32_t q0 = Dnq::queue0_split_bytes(tp);
-    dnq_.configure(q0, tp.dnq_data_bytes - q0);
-  } else {
-    dnq_.configure(tp.dnq_data_bytes, 0);
-  }
+  const std::uint32_t q0 = Dnq::phase_queue0_bytes(tp, phase);
+  dnq_.configure(q0, tp.dnq_data_bytes - q0);
 
   // DNA model timings from the NN-Dataflow-like mapper.
   std::vector<DnaModelTiming> models;

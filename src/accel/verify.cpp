@@ -294,33 +294,10 @@ class Linter {
   // (all of the scratchpad to queue 0 unless the phase uses queue 1).
   void check_dnq_footprint(int pi, const PhaseSpec& ph) {
     if (!split_valid_) return;  // GV010 already reported
-    std::uint32_t q0_cap = params_.dnq_data_bytes;
-    std::uint32_t q1_cap = 0;
-    if (ph.has_dna2()) {
-      q0_cap = Dnq::queue0_split_bytes(params_);
-      q1_cap = params_.dnq_data_bytes - q0_cap;
-    }
-
-    std::uint64_t q0_entry_words = 0;
-    switch (ph.kind) {
-      case PhaseKind::kGatherAggregate:
-        if (ph.has_dna()) q0_entry_words = ph.agg_width_words;
-        break;
-      case PhaseKind::kProject:
-        for (const auto& b : ph.extra_inputs) q0_entry_words += b.width_words;
-        break;
-      case PhaseKind::kEdgeDnaAggregate:
-        q0_entry_words = std::uint64_t{ph.gather.width_words} +
-                         ph.gpe_words_per_entry;
-        for (const auto& b : ph.extra_inputs) q0_entry_words += b.width_words;
-        break;
-    }
-    check_queue_entry(pi, 0, q0_entry_words, q0_cap);
-    if (ph.has_dna2()) {
-      const std::uint64_t q1_entry_words =
-          std::uint64_t{ph.agg_width_words} + ph.dna2_gpe_words;
-      check_queue_entry(pi, 1, q1_entry_words, q1_cap);
-    }
+    const std::uint32_t q0_cap = Dnq::phase_queue0_bytes(params_, ph);
+    check_queue_entry(pi, 0, ph.dnq0_entry_words(), q0_cap);
+    check_queue_entry(pi, 1, ph.dnq1_entry_words(),
+                      params_.dnq_data_bytes - q0_cap);
   }
 
   void check_queue_entry(int pi, int queue, std::uint64_t entry_words,
@@ -346,11 +323,10 @@ class Linter {
   // GV002/GV003/GV101: AGG scratchpad capacity and reduce-op legality.
   void check_agg(int pi, const PhaseSpec& ph) {
     if (!ph.has_agg()) return;
-    const std::uint64_t entry_bytes =
-        std::uint64_t{ph.agg_width_words} * kWordBytes;
+    const std::uint64_t entry_bytes = ph.agg_entry_words() * kWordBytes;
     if (entry_bytes > params_.agg_data_bytes) {
       add(LintCode::kAggEntryTooLarge, pi,
-          "AGG entry (" + std::to_string(ph.agg_width_words) + " words = " +
+          "AGG entry (" + std::to_string(ph.agg_entry_words()) + " words = " +
               std::to_string(entry_bytes) + "B) exceeds the " +
               std::to_string(params_.agg_data_bytes) +
               "B data scratchpad: guaranteed deadlock");

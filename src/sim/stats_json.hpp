@@ -1,12 +1,17 @@
 // Machine-readable RunStats: JSON emission for `gnnasim --json` so bench
-// scripts can consume batch results without scraping tables.
+// scripts can consume batch results without scraping tables, and the
+// `gnnaverify --json` lint report. Every document goes through the one
+// JsonWriter in common/json_writer.hpp.
 #pragma once
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "accel/analysis.hpp"
 #include "accel/simulator.hpp"
+#include "accel/verify.hpp"
 #include "sim/batch_runner.hpp"
 
 namespace gnna::sim {
@@ -33,17 +38,28 @@ namespace gnna::sim {
 /// see accel/opt.hpp). Readers should treat a missing field as v1.
 inline constexpr int kStatsJsonSchemaVersion = 7;
 
-/// `s` as the body of a JSON string literal (quotes, backslashes and
-/// control characters escaped); shared by every JSON emitter in the tools.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// One run as a JSON object (all counters, utilizations, and the per-phase
 /// breakdown). Doubles are emitted with round-trip precision.
-void write_run_stats_json(std::ostream& os, const accel::RunStats& rs,
-                          int indent = 0);
+void write_run_stats_json(std::ostream& os, const accel::RunStats& rs);
 
 /// A batch as a JSON array, in request order. Failed runs become
 /// {"error": "..."} entries so indices still line up with the manifest.
 void write_batch_json(std::ostream& os, const std::vector<RunResult>& results);
+
+/// One linted program's findings (gnnaverify).
+struct LintedProgram {
+  std::string name;  // manifest line or file path
+  accel::VerifyReport report;
+  std::vector<accel::FixSuggestion> fixes;
+  std::string failure;  // compile/parse error, if any
+};
+
+/// Machine-readable diagnostics (`gnnaverify --json`, the CI
+/// verify-programs artifact). v2 records the --werror promotion state per
+/// diagnostic ("promoted" + "effective_severity"), so the artifact
+/// distinguishes a warning the run escalated from a native error.
+void write_verify_json(std::ostream& os,
+                       const std::vector<LintedProgram>& linted,
+                       std::size_t errors, std::size_t warnings, bool werror);
 
 }  // namespace gnna::sim

@@ -1,12 +1,17 @@
 #include "trace/trace.hpp"
 
+#include <cmath>
 #include <cstring>
+
+#include "common/json_writer.hpp"
 
 namespace gnna::trace {
 namespace {
 
-/// Chrome's JSON readers reject NaN/Inf literals; clamp to 0.
-[[nodiscard]] double sanitize(double x) { return x == x ? x : 0.0; }
+/// Chrome's JSON readers reject non-numbers (NaN, Inf, null); clamp to 0.
+[[nodiscard]] JsonNumber<double> sanitize(double x) {
+  return {std::isfinite(x) ? x : 0.0};
+}
 
 }  // namespace
 
@@ -57,8 +62,8 @@ void ChromeTraceSink::begin_event(Category cat, std::uint32_t unit,
   if (!first_) os_ << ',';
   first_ = false;
   ++events_;
-  os_ << "\n{\"ph\":\"" << phase << "\",\"name\":\"" << name
-      << "\",\"cat\":\"" << category_name(cat)
+  os_ << "\n{\"ph\":\"" << phase << "\",\"name\":" << JsonString{name}
+      << ",\"cat\":\"" << category_name(cat)
       << "\",\"pid\":" << static_cast<int>(cat) + 1 << ",\"tid\":" << unit + 1
       << ",\"ts\":" << sanitize(ts);
 }

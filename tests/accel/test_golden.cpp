@@ -4,14 +4,16 @@
 // first. Update the constants deliberately when the model changes.
 #include <gtest/gtest.h>
 
-#include "accel/runner.hpp"
+#include "sim/session.hpp"
 
 namespace gnna::accel {
 namespace {
 
 TEST(Golden, GcnCoraCpuIsoBw) {
-  const RunStats rs = simulate_benchmark(gnn::Benchmark::kGcnCora,
-                                         AcceleratorConfig::cpu_iso_bw());
+  sim::RunRequest req;
+  req.benchmark = gnn::Benchmark::kGcnCora;
+  req.config = AcceleratorConfig::cpu_iso_bw();
+  const RunStats rs = sim::Session::global().run(req);
   // Re-pinned when memory writes started occupying in-order queue slots
   // (previously 2871286: write completion was not part of idle()).
   EXPECT_EQ(rs.cycles, 2871294U);
@@ -19,8 +21,10 @@ TEST(Golden, GcnCoraCpuIsoBw) {
 }
 
 TEST(Golden, GatCoraCpuIsoBw) {
-  const RunStats rs = simulate_benchmark(gnn::Benchmark::kGatCora,
-                                         AcceleratorConfig::cpu_iso_bw());
+  sim::RunRequest req;
+  req.benchmark = gnn::Benchmark::kGatCora;
+  req.config = AcceleratorConfig::cpu_iso_bw();
+  const RunStats rs = sim::Session::global().run(req);
   // Re-pinned for the crossbar arbitration fixes: one flit per input per
   // cycle, and the round-robin pointer no longer rotates past an input
   // whose grant stalled on credits (previously 1775055). GCN/Cora above

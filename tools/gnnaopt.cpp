@@ -18,7 +18,6 @@
 // plus a final end-to-end proof of the whole pipeline (original vs.
 // emitted program), so the artifact documents *why* the rewrite is safe.
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -196,14 +195,8 @@ int main(int argc, char** argv) {
 
   std::ostringstream report;
   report << "program: " << prog.name << "\n"
-         << "input:   " << input << " (hash ";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      accel::ir::content_hash(prog)));
-    report << buf << ")\n";
-  }
+         << "input:   " << input << " (hash "
+         << accel::ir::hash_hex(accel::ir::content_hash(prog)) << ")\n";
   for (const auto& po : res.passes) {
     report << "pass " << po.pass << ": "
            << (po.changed ? "changed" : "no change") << " — " << po.summary
@@ -258,14 +251,9 @@ int main(int argc, char** argv) {
               << "\n";
     return 1;
   }
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      accel::ir::content_hash(res.program)));
-    report << "output:  " << output << " (hash " << buf << ", "
-           << (res.changed() ? "optimized" : "already optimal") << ")\n";
-  }
+  report << "output:  " << output << " (hash "
+         << accel::ir::hash_hex(accel::ir::content_hash(res.program)) << ", "
+         << (res.changed() ? "optimized" : "already optimal") << ")\n";
 
   if (!report_path.empty()) {
     std::ofstream rf(report_path);

@@ -12,10 +12,10 @@
 // --jobs worker threads, and reports per-run latencies (machine-readable
 // with --json).
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -199,15 +199,21 @@ void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
   }
 }
 
-bool write_json_file(const std::string& path,
-                     const std::function<void(std::ostream&)>& emit) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "error: cannot open " << path << " for writing\n";
-    return false;
+/// Write the document `emit` produces to each non-empty path (--json,
+/// --profile= and --attribution= all name the same stats JSON).
+bool write_json_files(std::initializer_list<const std::string*> paths,
+                      const std::function<void(std::ostream&)>& emit) {
+  for (const std::string* path : paths) {
+    if (path->empty()) continue;
+    std::ofstream out(*path);
+    if (!out) {
+      std::cerr << "error: cannot open " << *path << " for writing\n";
+      return false;
+    }
+    emit(out);
+    if (!out.good()) return false;
   }
-  emit(out);
-  return out.good();
+  return true;
 }
 
 }  // namespace
@@ -376,11 +382,9 @@ int main(int argc, char** argv) {
     try {
       const sim::Session::Resolved r = session.resolve(req);
       accel::ir::save_file(*r.program, emit_program_path);
-      char hash_buf[32];
-      std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
-                    static_cast<unsigned long long>(r.hash));
       std::cout << "wrote " << emit_program_path << " ("
-                << r.program->name << ", hash " << hash_buf << ")\n";
+                << r.program->name << ", hash " << accel::ir::hash_hex(r.hash)
+                << ")\n";
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 1;
@@ -478,22 +482,10 @@ int main(int argc, char** argv) {
               << " program hits, " << cc.program_dedupes
               << " deduped by IR hash\n";
 
-    if (!json_path.empty() &&
-        !write_json_file(json_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
-      return 2;
-    }
-    if (!profile_path.empty() &&
-        !write_json_file(profile_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
-      return 2;
-    }
-    if (!attribution_path.empty() &&
-        !write_json_file(attribution_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
+    if (!write_json_files({&json_path, &profile_path, &attribution_path},
+                          [&](std::ostream& os) {
+                            sim::write_batch_json(os, results);
+                          })) {
       return 2;
     }
     if (failures > 0) {
@@ -554,17 +546,11 @@ int main(int argc, char** argv) {
               << " hotspots captured (gnnatrace hotspots for the tables)\n";
   }
 
-  const auto emit_run = [&](std::ostream& os) {
-    sim::write_run_stats_json(os, rs);
-    os << '\n';
-  };
-  if (!json_path.empty() && !write_json_file(json_path, emit_run)) return 2;
-  if (!profile_path.empty() && !write_json_file(profile_path, emit_run)) {
-    return 2;
-  }
-  if (!attribution_path.empty() &&
-      !write_json_file(attribution_path, emit_run)) {
-    return 2;
-  }
-  return 0;
+  const bool written =
+      write_json_files({&json_path, &profile_path, &attribution_path},
+                       [&](std::ostream& os) {
+                         sim::write_run_stats_json(os, rs);
+                         os << '\n';
+                       });
+  return written ? 0 : 2;
 }

@@ -93,67 +93,8 @@ void print_codes(std::ostream& os) {
          path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
 }
 
-/// One linted program's findings, collected for --json / --fix output.
-struct LintedProgram {
-  std::string name;  // manifest line or file path
-  accel::VerifyReport report;
-  std::vector<accel::FixSuggestion> fixes;
-  std::string failure;  // compile/parse error, if any
-};
-
-/// Machine-readable diagnostics: the CI verify-programs artifact. v2
-/// records the --werror promotion state per diagnostic ("promoted" +
-/// "effective_severity"), so the artifact distinguishes a warning the run
-/// escalated from a native error.
-void write_json(std::ostream& os, const std::vector<LintedProgram>& linted,
-                std::size_t errors, std::size_t warnings, bool werror) {
-  os << "{\n  \"version\": 2,\n  \"werror\": " << (werror ? "true" : "false")
-     << ",\n  \"programs\": [";
-  for (std::size_t i = 0; i < linted.size(); ++i) {
-    const LintedProgram& lp = linted[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-       << sim::json_escape(lp.name) << "\"";
-    if (!lp.failure.empty()) {
-      os << ", \"failure\": \"" << sim::json_escape(lp.failure) << "\"";
-    }
-    os << ", \"diagnostics\": [";
-    for (std::size_t d = 0; d < lp.report.diagnostics.size(); ++d) {
-      const auto& diag = lp.report.diagnostics[d];
-      const bool native_error = diag.severity == accel::Severity::kError;
-      const bool promoted = werror && !native_error;
-      os << (d == 0 ? "\n" : ",\n") << "      {\"code\": \""
-         << accel::lint_code_name(diag.code) << "\", \"severity\": \""
-         << (native_error ? "error" : "warning")
-         << "\", \"effective_severity\": \""
-         << (native_error || promoted ? "error" : "warning")
-         << "\", \"promoted\": " << (promoted ? "true" : "false")
-         << ", \"family\": \""
-         << accel::lint_family_name(accel::lint_code_family(diag.code))
-         << "\", \"phase\": " << diag.phase << ", \"phase_name\": \""
-         << sim::json_escape(diag.phase_name) << "\", \"message\": \""
-         << sim::json_escape(diag.message) << "\"}";
-    }
-    os << (lp.report.diagnostics.empty() ? "]" : "\n    ]");
-    if (!lp.fixes.empty()) {
-      os << ", \"fixes\": [";
-      for (std::size_t f = 0; f < lp.fixes.size(); ++f) {
-        const auto& fix = lp.fixes[f];
-        os << (f == 0 ? "\n" : ",\n") << "      {\"code\": \""
-           << accel::lint_code_name(fix.code) << "\", \"verified\": "
-           << (fix.verified ? "true" : "false") << ", \"description\": \""
-           << sim::json_escape(fix.description) << "\", \"manifest_snippet\": \""
-           << sim::json_escape(fix.manifest_snippet) << "\"}";
-      }
-      os << "\n    ]";
-    }
-    os << "}";
-  }
-  os << (linted.empty() ? "]" : "\n  ]") << ",\n  \"errors\": " << errors
-     << ",\n  \"warnings\": " << warnings << "\n}\n";
-}
-
 /// Print --fix suggestions for one program.
-void print_fixes(std::ostream& os, const LintedProgram& lp) {
+void print_fixes(std::ostream& os, const sim::LintedProgram& lp) {
   for (const auto& fix : lp.fixes) {
     os << "  fix " << accel::lint_code_name(fix.code)
        << (fix.verified ? " (verified)" : " (NOT verified)") << ": "
@@ -290,14 +231,14 @@ int main(int argc, char** argv) {
 
   sim::Session& session = sim::Session::global();
   std::set<std::string> seen;
-  std::vector<LintedProgram> linted;
+  std::vector<sim::LintedProgram> linted;
   std::size_t programs = 0, errors = 0, warnings = 0;
 
   const auto lint_one = [&](std::string name,
                             const accel::CompiledProgram& prog,
                             const graph::Dataset* ds,
                             const sim::RunRequest& req) {
-    LintedProgram lp;
+    sim::LintedProgram lp;
     lp.name = std::move(name);
     lp.report = accel::verify_program(prog, req.config.tile_params, ds,
                                       &req.config, req.partition);
@@ -329,7 +270,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       // A workload the compiler itself rejects is a lint failure too.
       std::cerr << key << ": compile failed: " << e.what() << '\n';
-      LintedProgram lp;
+      sim::LintedProgram lp;
       lp.name = key;
       lp.failure = e.what();
       linted.push_back(std::move(lp));
@@ -354,7 +295,7 @@ int main(int argc, char** argv) {
       // Parse/IO failures are findings the compiler can never emit; they
       // only exist at the file level, so report them here.
       std::cout << path << ": parse failed: " << e.what() << '\n';
-      LintedProgram lp;
+      sim::LintedProgram lp;
       lp.name = path;
       lp.failure = e.what();
       linted.push_back(std::move(lp));
@@ -371,7 +312,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot write " << json_path << '\n';
       return 2;
     }
-    write_json(out, linted, errors, warnings, werror);
+    sim::write_verify_json(out, linted, errors, warnings, werror);
   }
 
   std::cout << "gnnaverify: " << programs << " program(s), " << errors
