@@ -40,6 +40,10 @@ class AddressMap {
 
   [[nodiscard]] std::size_t num_controllers() const { return mem_eps_.size(); }
 
+  [[nodiscard]] bool is_memory(EndpointId ep) const {
+    return std::find(mem_eps_.begin(), mem_eps_.end(), ep) != mem_eps_.end();
+  }
+
  private:
   std::vector<EndpointId> mem_eps_;
   std::uint64_t interleave_;

@@ -1,6 +1,7 @@
 #include "accel/agg.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -12,7 +13,8 @@ Agg::Agg(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
       net_(net),
       endpoint_(endpoint),
       addr_map_(addr_map),
-      scale_(core_scale) {}
+      scale_(core_scale),
+      max_entries_(params.agg_ctrl_bytes / params.agg_ctrl_entry_bytes) {}
 
 std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
                                        std::uint64_t expected_words,
@@ -37,9 +39,7 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
         "Agg::allocate: unit destination with invalid endpoint");
   }
   const std::uint64_t bytes = std::uint64_t{width_words} * kWordBytes;
-  const std::uint32_t max_entries =
-      params_.agg_ctrl_bytes / params_.agg_ctrl_entry_bytes;
-  if (live_entries_ >= max_entries ||
+  if (live_entries_ >= max_entries_ ||
       data_bytes_used_ + bytes > params_.agg_data_bytes) {
     stats_.alloc_failures.add();
     return std::nullopt;
@@ -64,6 +64,7 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
   e.values.assign(width_words, reduce_identity(op));
 
   ++live_entries_;
+  ++alloc_epoch_;
   data_bytes_used_ += bytes;
   stats_.allocations.add();
 
@@ -148,6 +149,7 @@ void Agg::complete(AggHandle h) {
   e.values.clear();
   data_bytes_used_ -= std::uint64_t{e.width_words} * kWordBytes;
   --live_entries_;
+  ++alloc_epoch_;
   free_list_.push_back(h);
 }
 
@@ -204,6 +206,11 @@ void Agg::dump_state(std::ostream& os) const {
     print_dest(os, e.dest);
     os << '\n';
   }
+}
+
+Cycle Agg::next_event(Cycle now) const {
+  if (inbox_.empty()) return kNeverCycle;
+  return std::max(now, static_cast<Cycle>(std::ceil(alu_free_at_)));
 }
 
 void Agg::tick() {

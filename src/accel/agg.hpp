@@ -75,6 +75,16 @@ class Agg {
 
   void tick();
 
+  /// First cycle >= `now` at which tick() could change state when no new
+  /// message arrives: when the ALU bank frees for the inbox head, or
+  /// kNeverCycle with an empty inbox.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
+  /// Changes whenever allocate() could answer differently: every
+  /// successful allocation and every completion (free). A failed
+  /// allocation leaves it unchanged.
+  [[nodiscard]] std::uint64_t alloc_epoch() const { return alloc_epoch_; }
+
   [[nodiscard]] bool idle() const {
     return inbox_.empty() && live_entries_ == 0;
   }
@@ -106,11 +116,13 @@ class Agg {
   EndpointId endpoint_;
   const AddressMap& addr_map_;
   double scale_;
+  std::uint32_t max_entries_;  // control-scratchpad entries
 
   std::vector<Entry> entries_;
   std::vector<AggHandle> free_list_;
   std::uint32_t live_entries_ = 0;
   std::uint64_t data_bytes_used_ = 0;
+  std::uint64_t alloc_epoch_ = 0;
 
   std::deque<noc::Message> inbox_;  // internal flit-buffer stand-in
   double alu_free_at_ = 0.0;

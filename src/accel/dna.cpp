@@ -1,6 +1,8 @@
 #include "accel/dna.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace gnna::accel {
 
@@ -81,6 +83,29 @@ void Dna::dump_state(std::ostream& os) const {
     os << " next_result_at=" << results_.front().ready_at;
   }
   os << '\n';
+}
+
+Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
+  const auto at_or_after = [now](double t) {
+    return std::max(now, static_cast<Cycle>(std::ceil(t)));
+  };
+  Cycle next = results_.empty() ? kNeverCycle
+                                : at_or_after(results_.front().ready_at);
+  if (busy_) return std::min(next, at_or_after(array_free_at_));
+  if (weights_pending_ != 0) return next;
+  if (dnq.head_ready(dnq.active_queue())) return now;
+  if (!dnq.head_ready(dnq.active_queue() == 0 ? 1 : 0)) return next;
+  // The other queue's head is ready: tick() switches to it on the first
+  // cycle whose idle time passes the lazy-switch test. Start from the
+  // analytic crossing and settle it on the exact expression tick() uses.
+  const auto switches = [&](Cycle c) {
+    return (static_cast<double>(c) - idle_since_) / scale_ >=
+           params_.dnq_idle_switch_cycles;
+  };
+  Cycle c = at_or_after(idle_since_ + params_.dnq_idle_switch_cycles * scale_);
+  while (c > now && switches(c - 1)) --c;
+  while (!switches(c)) ++c;
+  return std::min(next, c);
 }
 
 void Dna::tick(Dnq& dnq) {

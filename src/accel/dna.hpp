@@ -52,6 +52,13 @@ class Dna {
   /// Pulls ready entries from `dnq`, advances the pipeline, emits results.
   void tick(Dnq& dnq);
 
+  /// First cycle >= `now` at which tick(dnq) could change state when no
+  /// new message arrives: the next result's ready time, the array freeing
+  /// up, a dequeue of a ready DNQ head (at once from the active queue;
+  /// from the other queue once the lazy-switch idle threshold is met), or
+  /// kNeverCycle.
+  [[nodiscard]] Cycle next_event(Cycle now, const Dnq& dnq) const;
+
   [[nodiscard]] bool idle() const {
     return results_.empty() && !busy_ && weights_pending_ == 0;
   }

@@ -19,7 +19,9 @@ std::uint32_t Dnq::queue0_split_bytes(const TileParams& params) {
                                     params.dnq_queue0_sixteenths / 16);
 }
 
-Dnq::Dnq(const TileParams& params) : params_(params) {
+Dnq::Dnq(const TileParams& params)
+    : params_(params),
+      max_dest_entries_(params.dnq_dest_bytes / params.dnq_dest_entry_bytes) {
   const std::uint32_t q0 = queue0_split_bytes(params);
   const std::uint32_t q1 = params.dnq_data_bytes - q0;
   assert(q0 + q1 == params.dnq_data_bytes &&
@@ -41,6 +43,7 @@ void Dnq::configure(std::uint32_t queue0_bytes, std::uint32_t queue1_bytes) {
   }
   capacity_bytes_ = {queue0_bytes, queue1_bytes};
   active_queue_ = 0;
+  ++alloc_epoch_;
 }
 
 std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
@@ -60,9 +63,7 @@ std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
         "Dnq::allocate: unit destination with invalid endpoint");
   }
   const std::uint64_t bytes = std::uint64_t{width_words} * 4;
-  const std::uint32_t max_dest_entries =
-      params_.dnq_dest_bytes / params_.dnq_dest_entry_bytes;
-  if (live_entries_ >= max_dest_entries ||
+  if (live_entries_ >= max_dest_entries_ ||
       bytes_used_[queue] + bytes > capacity_bytes_[queue]) {
     stats_.alloc_failures.add();
     return std::nullopt;
@@ -85,6 +86,7 @@ std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
   bytes_used_[queue] += bytes;
   fifo_[queue].push_back(h);
   ++live_entries_;
+  ++alloc_epoch_;
   stats_.allocations.add();
   tracer_.instant("alloc", h, queue);
   return h;
@@ -121,6 +123,7 @@ DnqEntry Dnq::pop_head(std::uint8_t q) {
   bytes_used_[q] -= std::uint64_t{e.width_words} * 4;
   e.active = false;
   --live_entries_;
+  ++alloc_epoch_;
   free_list_.push_back(h);
   stats_.dequeues.add();
   tracer_.instant("dequeue", h, q);

@@ -89,6 +89,15 @@ class Dnq {
   /// entry of the eligible queue if it is fully ready.
   [[nodiscard]] std::optional<DnqEntry> try_dequeue(double idle_core_cycles);
 
+  /// True when virtual queue `q`'s head entry has all its data.
+  [[nodiscard]] bool head_ready(std::uint8_t q) const;
+
+  /// Changes whenever allocate() could answer differently: every
+  /// successful allocation, every dequeue (free) and every configure().
+  /// A failed allocation leaves it unchanged, so the same request fails
+  /// again until it moves.
+  [[nodiscard]] std::uint64_t alloc_epoch() const { return alloc_epoch_; }
+
   [[nodiscard]] bool empty() const { return live_entries_ == 0; }
   [[nodiscard]] std::uint32_t live_entries() const { return live_entries_; }
   [[nodiscard]] std::uint8_t active_queue() const { return active_queue_; }
@@ -120,10 +129,10 @@ class Dnq {
     }
   };
 
-  [[nodiscard]] bool head_ready(std::uint8_t q) const;
   DnqEntry pop_head(std::uint8_t q);
 
   TileParams params_;
+  std::uint32_t max_dest_entries_;  // destination-scratchpad entries
   std::array<std::uint32_t, 2> capacity_bytes_{};
   std::array<std::uint64_t, 2> bytes_used_{};
   std::array<std::deque<DnqHandle>, 2> fifo_;
@@ -131,6 +140,7 @@ class Dnq {
   std::vector<DnqHandle> free_list_;
   std::uint32_t live_entries_ = 0;
   std::uint8_t active_queue_ = 0;
+  std::uint64_t alloc_epoch_ = 0;
   DnqStats stats_;
   trace::Tracer tracer_;
 };

@@ -1,6 +1,9 @@
 #include "accel/gpe.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
 
 namespace gnna::accel {
 
@@ -41,6 +44,9 @@ bool Gpe::idle() const {
 std::uint32_t Gpe::issue_load(Addr addr, std::uint64_t bytes,
                               EndpointId reply_to, std::uint64_t tag,
                               std::uint32_t owner) {
+  // Tile locality: responses only ever come back to this tile.
+  assert((reply_to == ep_gpe_ || reply_to == ep_agg_ || reply_to == ep_dnq_) &&
+         "GPE load replying to another tile");
   std::uint32_t segments = 0;
   addr_map_.for_each_segment(
       addr, bytes, [&](EndpointId mem_ep, Addr a, std::uint64_t seg) {
@@ -104,7 +110,7 @@ void Gpe::finish_task(Thread& t) {
 
 void Gpe::stall(Thread& t) {
   t.state = Thread::State::kStalled;
-  t.stalled_until = static_cast<double>(net_.now()) + 16.0;
+  t.stalled_until = static_cast<double>(cycle_) + 16.0;
   stats_.alloc_stalls.add();
   if (tracer_.enabled()) {
     tracer_.instant_at("alloc_stall", gpe_time_,
@@ -115,8 +121,9 @@ void Gpe::stall(Thread& t) {
 
 int Gpe::pick_runnable(double now) {
   const std::size_t n = threads_.size();
+  std::size_t i = last_thread_;
   for (std::size_t off = 1; off <= n; ++off) {
-    const std::size_t i = (last_thread_ + off) % n;
+    if (++i == n) i = 0;  // round robin from the thread after the last one
     Thread& t = threads_[i];
     if (t.state == Thread::State::kStalled && t.stalled_until <= now) {
       t.state = Thread::State::kRunnable;
@@ -160,44 +167,100 @@ void Gpe::dump_state(std::ostream& os) const {
   }
 }
 
-void Gpe::tick(Agg& agg, Dnq& dnq) {
-  const auto now = static_cast<double>(net_.now());
+void Gpe::on_response(const noc::Message& m) {
+  assert(m.kind == noc::MsgKind::kMemReadResp);
+  const auto ti = static_cast<std::size_t>(m.c);
+  assert(ti < threads_.size());
+  Thread& t = threads_[ti];
+  assert(t.state == Thread::State::kWaitMem && t.pending_responses > 0);
+  if (--t.pending_responses == 0) t.state = Thread::State::kRunnable;
+}
 
-  // Wake threads whose blocking loads completed (flit buffer -> scratchpad
-  // happens without core intervention; the wake is free).
-  while (auto m = net_.poll(ep_gpe_)) {
-    assert(m->kind == noc::MsgKind::kMemReadResp);
-    const auto ti = static_cast<std::size_t>(m->c);
-    assert(ti < threads_.size());
-    Thread& t = threads_[ti];
-    assert(t.state == Thread::State::kWaitMem && t.pending_responses > 0);
-    if (--t.pending_responses == 0) t.state = Thread::State::kRunnable;
-  }
+void Gpe::tick(Agg& agg, Dnq& dnq) { run(net_.now(), agg, dnq, false); }
 
+Gpe::RunEnd Gpe::run(Cycle cycle, Agg& agg, Dnq& dnq, bool retries_only) {
+  cycle_ = cycle;
+  const auto now = static_cast<double>(cycle);
   // Single-threaded core: execute micro-actions until we catch up with the
   // NoC clock.
   while (gpe_time_ <= now) {
     const int ti = pick_runnable(gpe_time_);
     if (ti < 0) {
       gpe_time_ = now + 1.0;  // idle this cycle
-      return;
+      return RunEnd::kIdle;
     }
+    Thread& t = threads_[static_cast<std::size_t>(ti)];
+    const std::uint64_t epoch = agg.alloc_epoch() + dnq.alloc_epoch();
+    // Picking again at the same gpe_time_ returns the same thread, so
+    // stopping here leaves the action to the next call unchanged.
+    if (retries_only && t.retry_epoch != epoch) return RunEnd::kStopped;
     double cost = 0.0;
     if (static_cast<std::size_t>(ti) != last_thread_) {
       cost += params_.cost_context_switch;
       stats_.context_switches.add();
       if (tracer_.enabled()) {
         tracer_.instant_at("switch", gpe_time_,
-                           static_cast<std::uint64_t>(ti),
-                           threads_[static_cast<std::size_t>(ti)].work);
+                           static_cast<std::uint64_t>(ti), t.work);
       }
     }
     last_thread_ = static_cast<std::size_t>(ti);
-    cost += step(threads_[last_thread_], agg, dnq);
+    cost += step(t, agg, dnq);
+    // A failed allocation moves neither epoch, so while both stay put the
+    // same request fails again: the retry is replayable.
+    t.retry_epoch = t.state == Thread::State::kStalled ? epoch : kNoRetry;
     stats_.actions.add();
     gpe_time_ += cost * scale_;
     stats_.busy_cycles += cost * scale_;
+    last_action_ = cycle;
   }
+  return RunEnd::kBusy;
+}
+
+Cycle Gpe::next_event(Cycle now) const {
+  bool ready = false;
+  double wake = std::numeric_limits<double>::infinity();
+  for (const Thread& t : threads_) {
+    if (t.state == Thread::State::kRunnable ||
+        (t.state == Thread::State::kFree && next_work_ < work_.size())) {
+      ready = true;
+      break;
+    }
+    if (t.state == Thread::State::kStalled) {
+      wake = std::min(wake, t.stalled_until);
+    }
+  }
+  if (!ready && std::isinf(wake)) return kNeverCycle;
+  // tick() runs once gpe_time_ <= now and picks at gpe_time_; an idle
+  // pick sets gpe_time_ = now + 1, so later picks happen at the cycle
+  // itself.
+  const Cycle first =
+      std::max(now, static_cast<Cycle>(std::ceil(gpe_time_)));
+  if (ready || wake <= gpe_time_) return first;
+  return std::max(first + 1, static_cast<Cycle>(std::ceil(wake)));
+}
+
+void Gpe::skip_to(Cycle cycle) {
+  // Each idle tick at cycle c sets gpe_time_ = c + 1; the last skipped one
+  // is cycle - 1. Ticks before gpe_time_ leave it alone.
+  if (cycle > 0 && gpe_time_ <= static_cast<double>(cycle - 1)) {
+    gpe_time_ = static_cast<double>(cycle);
+  }
+}
+
+Cycle Gpe::replay_retries(Cycle now, Cycle until, Agg& agg, Dnq& dnq) {
+  skip_to(now);
+  Cycle c = next_event(now);
+  if (tracer_.enabled()) return c;
+  while (c < until) {
+    skip_to(c);
+    const RunEnd end = run(c, agg, dnq, true);
+    if (end == RunEnd::kStopped) break;
+    // A busy core picks again once its clock comes due; an idle one waits
+    // for a thread to wake.
+    c = end == RunEnd::kBusy ? static_cast<Cycle>(std::ceil(gpe_time_))
+                             : next_event(c + 1);
+  }
+  return c;
 }
 
 double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
@@ -414,7 +477,6 @@ double Gpe::step_project(Thread& t, Dnq& dnq) {
 
 double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
-  const Addr out_addr = vertex_addr(ph.output, t.work);
   const bool needs_own =
       ph.gpe_words_per_entry > 0 || ph.dna2_gpe_words > 0;
 
@@ -435,7 +497,7 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     }
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
-    dest.addr = out_addr;
+    dest.addr = vertex_addr(ph.output, t.work);
     auto h = dnq.allocate(
         1, static_cast<std::uint32_t>(ph.dnq1_entry_words()), dest, t.work);
     if (!h.has_value()) {
@@ -454,7 +516,7 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
       dest.handle = t.dnq1_h;
     } else {
       dest.kind = Dest::Kind::kMemWrite;
-      dest.addr = out_addr;
+      dest.addr = vertex_addr(ph.output, t.work);
     }
     auto h = agg.allocate(ph.agg_width_words,
                           std::uint64_t{t.n_contrib} * ph.agg_width_words,

@@ -56,7 +56,38 @@ class Gpe {
   void begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                    const PhaseSpec& phase, std::vector<std::uint32_t> work);
 
+  /// A memory response for one of this GPE's threads arrived (the flit
+  /// buffer writes the scratchpad without core intervention; the wake is
+  /// free).
+  void on_response(const noc::Message& m);
+
   void tick(Agg& agg, Dnq& dnq);
+
+  /// First cycle >= `now` at which tick() would execute a micro-action when
+  /// no message arrives (a runnable thread, a claimable work item, or a
+  /// stalled thread's wake-up); kNeverCycle when only a memory response
+  /// can wake a thread. Expects the state at the start of cycle `now`
+  /// (gpe_time_ > now - 1, as after a tick at now - 1 or skip_to(now)).
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
+  /// Replay in place, at their own cycles in [now, until), the retries of
+  /// failed allocations that must fail again because neither `agg` nor
+  /// `dnq` has allocated or freed anything since they last failed. Every
+  /// stat moves exactly as under per-cycle tick()s. Stops before the first
+  /// other micro-action and returns the cycle at which tick() must run
+  /// next (or an earlier one at which it would only find no thread).
+  /// Replays nothing while a tracer is attached (event order). Requires
+  /// that no message reaches this GPE before the returned cycle and that
+  /// the GPE has nothing to run in the cycles before `now`.
+  Cycle replay_retries(Cycle now, Cycle until, Agg& agg, Dnq& dnq);
+
+  /// The barrier loop skipped every cycle before `cycle`, in which this
+  /// GPE had nothing to run: apply what those idle tick()s would have
+  /// done to its clock.
+  void skip_to(Cycle cycle);
+
+  /// NoC cycle of the latest micro-action executed.
+  [[nodiscard]] Cycle last_action_cycle() const { return last_action_; }
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
@@ -78,6 +109,8 @@ class Gpe {
     std::uint8_t row_state = 0;
   };
 
+  static constexpr std::uint64_t kNoRetry = ~std::uint64_t{0};
+
   struct Thread {
     enum class State : std::uint8_t { kFree, kRunnable, kWaitMem, kStalled };
     State state = State::kFree;
@@ -87,6 +120,9 @@ class Gpe {
     std::uint32_t loop_sub = 0;
     std::uint32_t pending_responses = 0;
     double stalled_until = 0.0;
+    // AGG + DNQ allocation epochs when this thread's allocation last
+    // failed (kNoRetry unless its next step retries that allocation).
+    std::uint64_t retry_epoch = kNoRetry;
     double task_started = 0.0;  // gpe_time_ when the work item was claimed
     double body_started = 0.0;  // gpe_time_ when the post-traversal body began
     // Cached task context:
@@ -100,6 +136,18 @@ class Gpe {
     std::array<WalkFrame, 9> walk{};
     std::uint32_t walk_depth = 0;
   };
+
+  /// How run() left its cycle.
+  enum class RunEnd : std::uint8_t {
+    kBusy,     // a micro-action carried gpe_time_ past the cycle
+    kIdle,     // no thread to run: gpe_time_ = cycle + 1
+    kStopped,  // retries_only: the next action is not a replayable retry
+  };
+
+  /// The core's work in NoC cycle `cycle`: micro-actions until gpe_time_
+  /// passes it. With `retries_only`, stops (leaving the action to the next
+  /// call) at the first action that is not a replayable retry.
+  RunEnd run(Cycle cycle, Agg& agg, Dnq& dnq, bool retries_only);
 
   /// Execute one micro-action of `t`; returns its cost in core cycles.
   double step(Thread& t, Agg& agg, Dnq& dnq);
@@ -152,6 +200,8 @@ class Gpe {
   std::vector<Thread> threads_;
   std::size_t last_thread_ = 0;
   double gpe_time_ = 0.0;
+  Cycle cycle_ = 0;        // NoC cycle of the micro-action being executed
+  Cycle last_action_ = 0;  // NoC cycle of the latest micro-action
   GpeStats stats_;
   trace::Tracer tracer_;
 };

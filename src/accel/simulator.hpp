@@ -182,7 +182,11 @@ class AcceleratorSim {
   void begin_sampling();
   void maybe_sample(const std::string& phase_name);
   [[nodiscard]] bool everything_idle() const;
+  [[nodiscard]] bool memories_idle() const;
   [[nodiscard]] std::uint64_t progress_signature() const;
+  /// Event-driven part of the barrier loop (DESIGN.md §16): called after a
+  /// tick that left the NoC quiescent and every memory controller idle.
+  void skip_quiet_cycles(std::uint64_t& last_sig, Cycle& last_progress);
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;
@@ -216,6 +220,7 @@ class AcceleratorSim {
   std::unique_ptr<AddressMap> addr_map_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::vector<std::unique_ptr<mem::MemoryController>> mems_;
+  std::vector<Cycle> next_event_;  // per tile, scratch for skip_quiet_cycles
 };
 
 }  // namespace gnna::accel

@@ -1,5 +1,6 @@
 #include "accel/tile.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace gnna::accel {
@@ -9,6 +10,8 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
            const AddressMap& addr_map)
     : cfg_(cfg),
       net_(net),
+      ep_gpe_(ep_gpe),
+      ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
       scale_(cfg.noc_clock.ghz() / cfg.core_clock.ghz()),
@@ -92,9 +95,28 @@ void Tile::dump_state(std::ostream& os) const {
   agg_.dump_state(os);
 }
 
+bool Tile::local(const noc::Message& msg) const {
+  if (msg.kind == noc::MsgKind::kMemReadResp) {
+    return addr_map_.is_memory(msg.src);
+  }
+  return msg.src == ep_gpe_ || msg.src == ep_agg_ || msg.src == ep_dnq_;
+}
+
 void Tile::tick() {
+  // Everything a tile receives was sent by its own units or answers its
+  // own memory requests (DESIGN.md §16). Without a message in flight a
+  // tile therefore evolves on its own, which advance() relies on.
+  while (auto msg = net_.poll(ep_gpe_)) {
+    assert(local(*msg) && "message from another tile");
+    gpe_.on_response(*msg);
+  }
+  while (auto msg = net_.poll(ep_agg_)) {
+    assert(local(*msg) && "message from another tile");
+    agg_.on_message(*msg);
+  }
   // Dispatch DNQ/DNA endpoint traffic (weight fills vs entry fills).
   while (auto msg = net_.poll(ep_dnq_)) {
+    assert(local(*msg) && "message from another tile");
     if (msg->kind == noc::MsgKind::kMemReadResp &&
         (msg->c & kWeightTag) != 0) {
       dna_.on_weight_data(msg->b);
@@ -105,6 +127,20 @@ void Tile::tick() {
   agg_.tick();
   dna_.tick(dnq_);
   gpe_.tick(agg_, dnq_);
+}
+
+Cycle Tile::next_event(Cycle now) const {
+  return std::min({agg_.next_event(now), dna_.next_event(now, dnq_),
+                   gpe_.next_event(now)});
+}
+
+Cycle Tile::advance(Cycle now, Cycle horizon) {
+  // The AGG and DNA tick before the GPE, so a retry in the cycle of their
+  // next event could already see the space they free.
+  const Cycle units =
+      std::min(agg_.next_event(now), dna_.next_event(now, dnq_));
+  return std::min(
+      units, gpe_.replay_retries(now, std::min(horizon, units), agg_, dnq_));
 }
 
 }  // namespace gnna::accel

@@ -33,6 +33,20 @@ class Tile {
 
   void tick();
 
+  /// First cycle >= `now` at which tick() could change this tile's state
+  /// when no message arrives (kNeverCycle: only a message can). Pure.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
+  /// Replay the GPE's doomed allocation retries in place at cycles in
+  /// [now, horizon), clamped to the AGG's and DNA's next events (a DNA
+  /// dequeue frees DNQ space, an AGG completion frees AGG space).
+  /// Returns the tile's next event, at which tick() must run for real.
+  /// Valid only while no message can reach the tile before that cycle.
+  Cycle advance(Cycle now, Cycle horizon);
+
+  /// The barrier loop skipped the tile's idle cycles before `cycle`.
+  void skip_to(Cycle cycle) { gpe_.skip_to(cycle); }
+
   [[nodiscard]] bool idle() const {
     return gpe_.idle() && agg_.idle() && dnq_.empty() && dna_.idle();
   }
@@ -49,8 +63,15 @@ class Tile {
   void dump_state(std::ostream& os) const;
 
  private:
+  /// Tile locality: `msg` comes from this tile's own units, or is a memory
+  /// response (whose request came from this tile: the GPE only names its
+  /// own endpoints as reply_to).
+  [[nodiscard]] bool local(const noc::Message& msg) const;
+
   const AcceleratorConfig& cfg_;
   noc::MeshNetwork& net_;
+  EndpointId ep_gpe_;
+  EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   double scale_;

@@ -361,6 +361,11 @@ void MeshNetwork::tick() {
   ++now_;
 }
 
+void MeshNetwork::skip_to(Cycle cycle) {
+  assert(quiescent() && cycle >= now_);
+  now_ = cycle;
+}
+
 bool MeshNetwork::idle() const {
   // inflight_ holds every packet from send() until tail ejection, so an
   // empty map already implies empty router buffers and injection queues;

@@ -71,6 +71,14 @@ class MeshNetwork {
   /// message awaits delivery. Used by the runtime's global barriers.
   [[nodiscard]] bool idle() const;
 
+  /// idle() with no credit awaiting return: until the next send(), tick()
+  /// does nothing but advance now().
+  [[nodiscard]] bool quiescent() const { return credits_.empty() && idle(); }
+
+  /// Advance now() to `cycle` as that many tick()s would; requires
+  /// quiescent().
+  void skip_to(Cycle cycle);
+
   [[nodiscard]] const NocStats& stats() const { return stats_; }
 
   /// Attach an event tracer (packet send/deliver). Disabled by default.
