@@ -215,9 +215,6 @@ Cycle Agg::next_event(Cycle now) const {
 
 void Agg::tick() {
   const auto now = static_cast<double>(net_.now());
-  // Drain NoC deliveries into the internal buffer.
-  while (auto msg = net_.poll(endpoint_)) inbox_.push_back(*msg);
-
   // Reduce one message's worth of data per ALU-bank availability window.
   while (!inbox_.empty() && alu_free_at_ <= now) {
     const noc::Message msg = inbox_.front();

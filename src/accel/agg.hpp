@@ -58,7 +58,8 @@ class Agg {
       std::uint32_t width_words, std::uint64_t expected_words, ReduceOp op,
       Dest dest, std::uint32_t owner = noc::kNoOwner);
 
-  /// NoC delivery (kMemReadResp / kAggWrite with a = handle).
+  /// NoC delivery (kMemReadResp / kAggWrite with a = handle). The owning
+  /// tile polls the AGG endpoint and hands every message here.
   void on_message(const noc::Message& msg);
 
   /// Value-accurate contribution used by unit tests (same accounting as a

@@ -50,21 +50,6 @@ std::vector<std::uint64_t> per_vertex_loads(const CompiledProgram& prog,
   return loads;
 }
 
-/// Tile owning work item `v` under the partition the simulator will apply.
-/// Round-robin and block mirror AcceleratorSim::run exactly; degree-greedy
-/// is not wired into the work distribution (it falls back to round-robin
-/// there), and profile-guided owners depend on a prior run's profile, so
-/// those are modeled as round-robin / balanced respectively by the caller.
-std::uint32_t modeled_owner(std::uint64_t v, std::uint64_t n,
-                            std::uint32_t num_tiles,
-                            graph::PartitionPolicy partition) {
-  if (partition == graph::PartitionPolicy::kBlock) {
-    const std::uint64_t per = (n + num_tiles - 1) / num_tiles;
-    return per == 0 ? 0 : static_cast<std::uint32_t>(v / per);
-  }
-  return static_cast<std::uint32_t>(v % num_tiles);
-}
-
 /// Whether the partition's owner assignment is statically known (so
 /// per-tile maxima are exact) as opposed to profile-dependent (where only
 /// the balanced total/T lower bound is safe).
@@ -295,12 +280,12 @@ class PhaseAnalyzer {
         static_partition ? options_.partition
                          : graph::PartitionPolicy::kRoundRobin;
     for (std::uint64_t v = 0; v < n; ++v) {
-      tile_vertices[modeled_owner(v, n, num_tiles, vertex_partition) %
+      tile_vertices[graph::static_owner(v, n, num_tiles, vertex_partition) %
                     num_tiles] += 1;
     }
     if (!loads.empty() && static_partition) {
       for (std::uint64_t v = 0; v < n; ++v) {
-        tile_contribs[modeled_owner(v, n, num_tiles, vertex_partition) %
+        tile_contribs[graph::static_owner(v, n, num_tiles, vertex_partition) %
                       num_tiles] += loads[v];
       }
       imbalance_ = imbalance_of(tile_contribs);

@@ -15,47 +15,6 @@ AcceleratorSim::AcceleratorSim(AcceleratorConfig cfg,
                                graph::PartitionPolicy partition)
     : cfg_(std::move(cfg)), partition_(partition) {}
 
-void AcceleratorSim::build() {
-  net_ = std::make_unique<noc::MeshNetwork>(cfg_.mesh_width, cfg_.mesh_height,
-                                            cfg_.noc_params);
-
-  // Register endpoints: three per tile (GPE, AGG, DNQ/DNA — the 7-port
-  // crossbar), one per memory node.
-  struct TileEps {
-    EndpointId gpe, agg, dnq;
-  };
-  std::vector<TileEps> tile_eps;
-  tile_eps.reserve(cfg_.tile_coords.size());
-  ep_to_tile_.clear();
-  for (const auto& [x, y] : cfg_.tile_coords) {
-    TileEps eps{};
-    eps.gpe = net_->add_endpoint(x, y);
-    eps.agg = net_->add_endpoint(x, y);
-    eps.dnq = net_->add_endpoint(x, y);
-    const auto tile = static_cast<std::uint32_t>(tile_eps.size());
-    ep_to_tile_.insert(ep_to_tile_.end(), 3, tile);
-    tile_eps.push_back(eps);
-  }
-  std::vector<EndpointId> mem_eps;
-  mem_eps.reserve(cfg_.mem_coords.size());
-  for (const auto& [x, y] : cfg_.mem_coords) {
-    mem_eps.push_back(net_->add_endpoint(x, y));
-    ep_to_tile_.push_back(trace::Attribution::kNoTile);
-  }
-  net_->finalize();
-
-  addr_map_ = std::make_unique<AddressMap>(mem_eps, cfg_.interleave_bytes);
-  for (const auto& eps : tile_eps) {
-    tiles_.push_back(std::make_unique<Tile>(cfg_, *net_, eps.gpe, eps.agg,
-                                            eps.dnq, *addr_map_));
-  }
-  for (const EndpointId ep : mem_eps) {
-    mems_.push_back(std::make_unique<mem::MemoryController>(
-        *net_, ep, cfg_.mem_params, cfg_.noc_clock));
-  }
-  next_event_.resize(tiles_.size());
-}
-
 void AcceleratorSim::attach_tracers() {
   sink_ = trace_.sink;
   if (trace_.profile) {
@@ -63,8 +22,8 @@ void AcceleratorSim::attach_tracers() {
   }
   if (trace_.attribution) {
     attribution_ = std::make_unique<trace::Attribution>(
-        static_cast<std::uint32_t>(tiles_.size()), ep_to_tile_,
-        trace_.attribution_top_k);
+        static_cast<std::uint32_t>(machine_->tiles().size()),
+        machine_->ep_to_tile(), trace_.attribution_top_k);
   }
   // Compose whatever is attached; a single consumer skips the tee.
   std::vector<trace::TraceSink*> sinks;
@@ -78,15 +37,7 @@ void AcceleratorSim::attach_tracers() {
     for (trace::TraceSink* s : sinks) tee_.add(s);
     sink_ = &tee_;
   }
-  const Cycle* clock = net_->now_ptr();
-  net_->set_tracer({sink_, clock, trace::Category::kNoc, 0});
-  for (std::size_t i = 0; i < mems_.size(); ++i) {
-    mems_[i]->set_tracer({sink_, clock, trace::Category::kMem,
-                          static_cast<std::uint32_t>(i)});
-  }
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    tiles_[i]->set_tracing(sink_, static_cast<std::uint32_t>(i));
-  }
+  machine_->set_tracing(sink_);
 }
 
 void AcceleratorSim::begin_sampling() {
@@ -94,15 +45,17 @@ void AcceleratorSim::begin_sampling() {
   next_sample_ = trace_.sample_every;
   last_sample_cycle_ = 0;
   prev_gpe_busy_ = prev_dna_busy_ = prev_agg_busy_ = 0.0;
-  prev_mem_bytes_.assign(mems_.size(), 0);
+  prev_mem_bytes_.assign(machine_->mems().size(), 0);
   if (trace_.sample_out != nullptr) {
-    *trace_.sample_out << sample_csv_header(mems_.size()) << '\n';
+    *trace_.sample_out << sample_csv_header(machine_->mems().size()) << '\n';
   }
 }
 
 void AcceleratorSim::maybe_sample(const std::string& phase_name) {
-  if (trace_.sample_every == 0 || net_->now() < next_sample_) return;
-  const Cycle now = net_->now();
+  if (trace_.sample_every == 0 || machine_->now() < next_sample_) return;
+  const Cycle now = machine_->now();
+  const auto& tiles = machine_->tiles();
+  const auto& mems = machine_->mems();
   const Cycle window = now - last_sample_cycle_;
   last_sample_cycle_ = now;
   next_sample_ = now + trace_.sample_every;
@@ -112,7 +65,7 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
   double agg_busy = 0.0;
   std::uint32_t dnq_live = 0;
   std::uint32_t agg_live = 0;
-  for (const auto& t : tiles_) {
+  for (const auto& t : tiles) {
     gpe_busy += t->gpe().stats().busy_cycles;
     dna_busy += t->dna().stats().busy_cycles;
     agg_busy += t->agg().stats().busy_cycles;
@@ -120,7 +73,7 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
     agg_live += t->agg().live_entries();
   }
   const double denom =
-      static_cast<double>(window) * static_cast<double>(tiles_.size());
+      static_cast<double>(window) * static_cast<double>(tiles.size());
   const double gpe_frac = denom > 0.0 ? (gpe_busy - prev_gpe_busy_) / denom : 0.0;
   const double dna_frac = denom > 0.0 ? (dna_busy - prev_dna_busy_) / denom : 0.0;
   const double agg_frac = denom > 0.0 ? (agg_busy - prev_agg_busy_) / denom : 0.0;
@@ -129,15 +82,15 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
   prev_agg_busy_ = agg_busy;
 
   std::size_t mem_depth = 0;
-  for (const auto& m : mems_) mem_depth += m->queue_depth();
-  const std::size_t inflight = net_->inflight_packets();
+  for (const auto& m : mems) mem_depth += m->queue_depth();
+  const std::size_t inflight = machine_->net().inflight_packets();
 
   const double window_s =
       cfg_.noc_clock.cycles_to_seconds(static_cast<double>(window));
-  std::vector<double> mem_gbps(mems_.size(), 0.0);
+  std::vector<double> mem_gbps(mems.size(), 0.0);
   double total_gbps = 0.0;
-  for (std::size_t i = 0; i < mems_.size(); ++i) {
-    const std::uint64_t served = mems_[i]->stats().bytes_served.value();
+  for (std::size_t i = 0; i < mems.size(); ++i) {
+    const std::uint64_t served = mems[i]->stats().bytes_served.value();
     const std::uint64_t delta = served - prev_mem_bytes_[i];
     prev_mem_bytes_[i] = served;
     mem_gbps[i] =
@@ -171,106 +124,6 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
   }
 }
 
-std::string AcceleratorSim::deadlock_report(const std::string& phase) const {
-  std::ostringstream os;
-  os << "=== deadlock diagnostics (phase '" << phase << "', cycle "
-     << net_->now() << ") ===\n";
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    os << "tile " << i << (tiles_[i]->idle() ? " [idle]" : " [BUSY]") << '\n';
-    tiles_[i]->dump_state(os);
-  }
-  for (std::size_t i = 0; i < mems_.size(); ++i) {
-    os << "mem " << i << (mems_[i]->idle() ? " [idle]" : " [BUSY]") << '\n';
-    mems_[i]->dump_state(os);
-  }
-  net_->dump_state(os);
-  return os.str();
-}
-
-bool AcceleratorSim::everything_idle() const {
-  for (const auto& t : tiles_) {
-    if (!t->idle()) return false;
-  }
-  return memories_idle() && net_->idle();
-}
-
-bool AcceleratorSim::memories_idle() const {
-  for (const auto& m : mems_) {
-    if (!m->idle()) return false;
-  }
-  return true;
-}
-
-void AcceleratorSim::skip_quiet_cycles(std::uint64_t& last_sig,
-                                       Cycle& last_progress) {
-  // The NoC is quiescent and every memory controller idle, so until a tile
-  // sends something their ticks only advance the clock, and by tile
-  // locality each tile evolves on its own. Jump to the first cycle at
-  // which a tile must tick for real, but still tick the cycle after which
-  // the watchdog could fire and the one after which a sample is due.
-  const Cycle now = net_->now();
-  Cycle target = watchdog_cycles_ > kNeverCycle - last_progress
-                     ? kNeverCycle
-                     : last_progress + watchdog_cycles_;
-  if (trace_.sample_every != 0) target = std::min(target, next_sample_ - 1);
-  bool all_idle = true;
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    next_event_[i] = tiles_[i]->next_event(now);
-    all_idle = all_idle && tiles_[i]->idle();
-  }
-  if (all_idle || target <= now) return;
-
-  // Tiles replay their doomed allocation retries in (cycle, tile index)
-  // order, the order per-cycle ticks run them in, so no tile gets past the
-  // first real event of any tile and progress is seen at the right cycle.
-  bool replayed = false;
-  for (;;) {
-    std::size_t i = 0;
-    for (std::size_t j = 1; j < tiles_.size(); ++j) {
-      if (next_event_[j] < next_event_[i]) i = j;
-    }
-    if (next_event_[i] >= target) break;
-    // Tile i may run up to the next event of every other tile, through
-    // that cycle when the other tile ticks after it.
-    Cycle horizon = target;
-    for (std::size_t j = 0; j < tiles_.size(); ++j) {
-      if (j == i || next_event_[j] == kNeverCycle) continue;
-      horizon = std::min(horizon, next_event_[j] + (j > i ? 1 : 0));
-    }
-    const Cycle next = tiles_[i]->advance(next_event_[i], horizon);
-    if (next == next_event_[i]) {  // a real event: tick it
-      target = next;
-      break;
-    }
-    next_event_[i] = next;
-    replayed = true;
-  }
-
-  if (replayed) {
-    // Replayed retries are progress at the cycles they ran in.
-    last_sig = progress_signature();
-    for (const auto& t : tiles_) {
-      last_progress =
-          std::max(last_progress, t->gpe().last_action_cycle() + 1);
-    }
-  }
-  if (target > now) {
-    net_->skip_to(target);
-    for (auto& t : tiles_) t->skip_to(target);
-  }
-}
-
-std::uint64_t AcceleratorSim::progress_signature() const {
-  std::uint64_t sig = net_->stats().packets_sent.value() +
-                      net_->stats().packets_delivered.value();
-  for (const auto& t : tiles_) {
-    sig += t->gpe().stats().actions.value();
-    sig += t->dna().stats().entries_processed.value();
-    sig += t->agg().stats().contributions.value();
-  }
-  return sig;
-}
-
 RunStats AcceleratorSim::run(const CompiledProgram& prog,
                              const graph::Dataset& ds) {
   if (used_) throw std::logic_error("AcceleratorSim::run: already used");
@@ -281,169 +134,73 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
   // the watchdog. The bound dataset enables the topology-dependent
   // checks (walk-tree recomputation, layout/dataset agreement).
   if (verify_) verify_or_throw(prog, cfg_.tile_params, &ds, &cfg_, partition_);
-  build();
+  machine_ = std::make_unique<Machine>(cfg_);
+  Machine& m = *machine_;
   attach_tracers();
   begin_sampling();
-
-  const auto num_tiles = static_cast<std::uint32_t>(tiles_.size());
 
   RunStats rs;
   rs.config_name = cfg_.name;
   rs.program_name = prog.name;
   rs.core_clock_ghz = cfg_.core_clock.ghz();
 
-  std::uint64_t mem_served_before_phase = 0;
-
   for (const PhaseSpec& phase : prog.phases) {
-    // Work distribution (the shared in-memory work queues of Algorithm 1,
-    // realized as a static round-robin split across GPEs).
-    const std::uint32_t num_items =
-        phase.per_graph ? static_cast<std::uint32_t>(prog.graphs.size())
-                        : prog.total_vertices();
-    std::vector<std::vector<std::uint32_t>> work(num_tiles);
-    if (!phase.per_graph && work_owners_.size() == num_items) {
-      // Explicit profile-guided assignment: owners[v] names the tile.
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[work_owners_[i] % num_tiles].push_back(i);
-      }
-    } else if (partition_ == graph::PartitionPolicy::kBlock) {
-      const std::uint32_t per = (num_items + num_tiles - 1) / num_tiles;
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[per == 0 ? 0 : i / per].push_back(i);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[i % num_tiles].push_back(i);
-      }
-    }
-
-    const Cycle phase_start = net_->now();
     // Phase markers: pure observation (no tick happens here), so enabling
     // them cannot move a single cycle — the goldens pin this.
     if (sink_ != nullptr) {
-      sink_->phase_begin(phase.name.c_str(),
-                         static_cast<double>(phase_start));
+      sink_->phase_begin(phase.name.c_str(), static_cast<double>(m.now()));
     }
-    for (std::uint32_t t = 0; t < num_tiles; ++t) {
-      tiles_[t]->begin_phase(prog, ds, phase, std::move(work[t]));
-    }
+    m.begin_phase(prog, ds, phase, partition_, work_owners_);
 
     // Run to the global barrier, one tick per cycle while anything is in
-    // flight; quiet stretches are skipped (skip_quiet_cycles).
-    std::uint64_t last_sig = progress_signature();
-    Cycle last_progress = net_->now();
-    while (!everything_idle()) {
-      for (auto& t : tiles_) t->tick();
-      for (auto& m : mems_) m->tick();
-      net_->tick();
+    // flight; quiet stretches are skipped (Machine::skip_quiet_cycles),
+    // but the tick after which the watchdog could fire and the one after
+    // which a sample is due still run.
+    std::uint64_t last_sig = m.progress_signature();
+    Cycle last_progress = m.now();
+    while (!m.idle()) {
+      m.tick_cycle();
       if (trace_.sample_every != 0) maybe_sample(phase.name);
 
-      const std::uint64_t sig = progress_signature();
+      const std::uint64_t sig = m.progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
-        last_progress = net_->now();
-      } else if (net_->now() - last_progress > watchdog_cycles_) {
-        const std::string report = deadlock_report(phase.name);
+        last_progress = m.now();
+      } else if (m.now() - last_progress > watchdog_cycles_) {
+        std::ostringstream report;
+        report << "=== deadlock diagnostics (phase '" << phase.name
+               << "', cycle " << m.now() << ") ===\n";
+        m.dump_state(report);
         if (!trace_.deadlock_report_path.empty()) {
           std::ofstream f(trace_.deadlock_report_path);
-          f << report;
+          f << report.str();
         }
         throw std::runtime_error(
             "AcceleratorSim: no progress in phase " + phase.name + " for " +
             std::to_string(watchdog_cycles_) + " cycles (deadlock?)\n" +
-            report);
+            report.str());
       }
-      if (net_->quiescent() && memories_idle()) {
-        skip_quiet_cycles(last_sig, last_progress);
+      if (m.quiet()) {
+        Cycle limit = watchdog_cycles_ > kNeverCycle - last_progress
+                          ? kNeverCycle
+                          : last_progress + watchdog_cycles_;
+        if (trace_.sample_every != 0) limit = std::min(limit, next_sample_ - 1);
+        const Cycle replayed_to = m.skip_quiet_cycles(limit);
+        if (replayed_to != 0) {
+          last_sig = m.progress_signature();
+          last_progress = std::max(last_progress, replayed_to);
+        }
       }
     }
 
     if (sink_ != nullptr) {
-      sink_->phase_end(phase.name.c_str(), static_cast<double>(net_->now()));
+      sink_->phase_end(phase.name.c_str(), static_cast<double>(m.now()));
     }
 
-    PhaseStats ps;
-    ps.name = phase.name;
-    ps.cycles = net_->now() - phase_start;
-    std::uint64_t served = 0;
-    for (const auto& m : mems_) served += m->stats().bytes_served.value();
-    ps.mem_bytes_served = served - mem_served_before_phase;
-    mem_served_before_phase = served;
-    ps.tasks = num_items;
-    rs.phases.push_back(std::move(ps));
+    rs.phases.push_back(m.phase_stats());
   }
 
-  // Aggregate statistics.
-  rs.cycles = net_->now();
-  rs.seconds = cfg_.noc_clock.cycles_to_seconds(static_cast<double>(rs.cycles));
-  rs.millis = rs.seconds * 1e3;
-
-  rs.mem_scheduler = mem::mem_scheduler_name(cfg_.mem_params.scheduler);
-  double occupancy_weight = 0.0;
-  double occupancy_sum = 0.0;
-  for (std::size_t mi = 0; mi < mems_.size(); ++mi) {
-    const auto& m = mems_[mi];
-    rs.mem_bytes_requested += m->stats().bytes_requested.value();
-    rs.mem_bytes_served += m->stats().bytes_served.value();
-    rs.mem_row_hits += m->row_hits();
-    rs.mem_row_misses += m->row_misses();
-    occupancy_sum += m->stats().queue_depth.sum();
-    occupancy_weight += m->stats().queue_depth.weight();
-    rs.mem_queue_occupancy_max =
-        std::max(rs.mem_queue_occupancy_max, m->stats().queue_depth.max());
-    for (std::size_t b = 0; b < m->stats().banks.size(); ++b) {
-      const mem::BankStats& bs = m->stats().banks[b];
-      RunStats::MemBankStats out;
-      out.mem = static_cast<std::uint32_t>(mi);
-      out.bank = static_cast<std::uint32_t>(b);
-      out.row_hits = bs.row_hits.value();
-      out.row_misses = bs.row_misses.value();
-      out.busy_frac = rs.cycles > 0
-                          ? bs.busy_cycles / static_cast<double>(rs.cycles)
-                          : 0.0;
-      rs.mem_banks.push_back(out);
-    }
-  }
-  const std::uint64_t row_total = rs.mem_row_hits + rs.mem_row_misses;
-  rs.mem_row_hit_rate =
-      row_total > 0 ? static_cast<double>(rs.mem_row_hits) /
-                          static_cast<double>(row_total)
-                    : 0.0;
-  rs.mem_queue_occupancy =
-      occupancy_weight > 0.0 ? occupancy_sum / occupancy_weight : 0.0;
-  rs.mean_bandwidth_gbps =
-      rs.seconds > 0.0
-          ? static_cast<double>(rs.mem_bytes_served) / rs.seconds / 1e9
-          : 0.0;
-  const double peak_gbps = cfg_.total_mem_bandwidth_gbps();
-  rs.bandwidth_utilization =
-      peak_gbps > 0.0 ? rs.mean_bandwidth_gbps / peak_gbps : 0.0;
-
-  const double denom = static_cast<double>(rs.cycles) * num_tiles;
-  double dna_busy = 0.0;
-  double gpe_busy = 0.0;
-  double agg_busy = 0.0;
-  for (const auto& t : tiles_) {
-    dna_busy += t->dna().stats().busy_cycles;
-    gpe_busy += t->gpe().stats().busy_cycles;
-    agg_busy += t->agg().stats().busy_cycles;
-    rs.tasks_completed += t->gpe().stats().tasks_completed.value();
-    rs.dnq_queue_switches += t->dnq().stats().queue_switches.value();
-    rs.alloc_stalls += t->gpe().stats().alloc_stalls.value();
-    rs.agg_words_reduced += t->agg().stats().words_reduced.value();
-    rs.dna_macs += t->dna().stats().macs.value();
-    rs.gpe_actions += t->gpe().stats().actions.value();
-    rs.dnq_words += t->dnq().stats().enqueued_words.value();
-  }
-  rs.noc_flit_hops = net_->stats().flit_hops.value();
-  rs.noc_flits_delivered = net_->stats().flits_delivered.value();
-  if (denom > 0.0) {
-    rs.dna_utilization = dna_busy / denom;
-    rs.gpe_utilization = gpe_busy / denom;
-    rs.agg_utilization = agg_busy / denom;
-  }
-  rs.packets_delivered = net_->stats().packets_delivered.value();
-  rs.avg_packet_latency = net_->stats().packet_latency.mean();
+  m.read_stats(rs);
   if (profiler_) {
     rs.profile =
         std::make_shared<const trace::ProfileReport>(profiler_->report());

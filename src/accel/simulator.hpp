@@ -1,6 +1,7 @@
-// Whole-accelerator simulator: builds the mesh (Fig 9), instantiates tiles
-// and memory nodes, and executes a compiled program phase by phase with
-// global barriers between phases (Algorithm 1).
+// Whole-accelerator simulator: verifies a compiled program, builds the
+// Machine (Fig 9) and executes the program on it phase by phase with
+// global barriers between phases (Algorithm 1), with tracing, sampling and
+// the progress watchdog around the barrier loop.
 #pragma once
 
 #include <memory>
@@ -8,12 +9,10 @@
 #include <vector>
 
 #include "accel/config.hpp"
+#include "accel/machine.hpp"
 #include "accel/program.hpp"
-#include "accel/tile.hpp"
 #include "graph/dataset.hpp"
 #include "graph/partition.hpp"
-#include "mem/memory.hpp"
-#include "noc/network.hpp"
 #include "trace/attribution.hpp"
 #include "trace/profiler.hpp"
 #include "trace/trace.hpp"
@@ -171,22 +170,10 @@ class AcceleratorSim {
     work_owners_ = std::move(owners);
   }
 
-  /// Full simulator state snapshot (every tile's unit state, memory queue
-  /// contents, in-flight NoC packets). Used by the watchdog; callable any
-  /// time after run() has started building.
-  [[nodiscard]] std::string deadlock_report(const std::string& phase) const;
-
  private:
-  void build();
   void attach_tracers();
   void begin_sampling();
   void maybe_sample(const std::string& phase_name);
-  [[nodiscard]] bool everything_idle() const;
-  [[nodiscard]] bool memories_idle() const;
-  [[nodiscard]] std::uint64_t progress_signature() const;
-  /// Event-driven part of the barrier loop (DESIGN.md §16): called after a
-  /// tick that left the NoC quiescent and every memory controller idle.
-  void skip_quiet_cycles(std::uint64_t& last_sig, Cycle& last_progress);
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;
@@ -202,9 +189,6 @@ class AcceleratorSim {
   std::unique_ptr<trace::Attribution> attribution_;
   trace::TeeSink tee_;
 
-  // NoC endpoint id -> owning tile (trace::Attribution::kNoTile for
-  // memory endpoints); filled by build().
-  std::vector<std::uint32_t> ep_to_tile_;
   // Optional explicit vertex->tile assignment (set_work_owners).
   std::vector<TileId> work_owners_;
 
@@ -216,11 +200,7 @@ class AcceleratorSim {
   double prev_agg_busy_ = 0.0;
   std::vector<std::uint64_t> prev_mem_bytes_;
 
-  std::unique_ptr<noc::MeshNetwork> net_;
-  std::unique_ptr<AddressMap> addr_map_;
-  std::vector<std::unique_ptr<Tile>> tiles_;
-  std::vector<std::unique_ptr<mem::MemoryController>> mems_;
-  std::vector<Cycle> next_event_;  // per tile, scratch for skip_quiet_cycles
+  std::unique_ptr<Machine> machine_;  // built by run()
 };
 
 }  // namespace gnna::accel

@@ -52,6 +52,21 @@ inline constexpr std::pair<PartitionPolicy, std::string_view>
   return std::nullopt;
 }
 
+/// Tile of work item `i` of `n` under a policy that needs no graph:
+/// contiguous ranges of ceil(n / num_tiles) items for kBlock, round robin
+/// for every other policy (the static fallback of the degree-greedy and
+/// profile-guided policies). Machine::begin_phase, make_partition
+/// and the analytic model all assign through this.
+[[nodiscard]] constexpr TileId static_owner(std::uint64_t i, std::uint64_t n,
+                                            TileId num_tiles,
+                                            PartitionPolicy policy) {
+  if (policy == PartitionPolicy::kBlock) {
+    const std::uint64_t per = (n + num_tiles - 1) / num_tiles;
+    return per == 0 ? 0 : static_cast<TileId>(i / per);
+  }
+  return static_cast<TileId>(i % num_tiles);
+}
+
 /// Assignment of every vertex to a tile.
 class Partition {
  public:
@@ -84,17 +99,16 @@ class Partition {
   std::vector<TileId> owner(n, 0);
   switch (policy) {
     case PartitionPolicy::kRoundRobin:
+    case PartitionPolicy::kBlock:
+    // kProfileGuided needs measured per-vertex loads — use
+    // make_profile_partition(). Without a profile there is nothing to
+    // guide; fall back to the round-robin baseline the profiling pass
+    // itself uses.
+    case PartitionPolicy::kProfileGuided:
       for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(v % num_tiles);
+        owner[v] = static_owner(v, n, num_tiles, policy);
       }
       break;
-    case PartitionPolicy::kBlock: {
-      const NodeId per = (n + num_tiles - 1) / num_tiles;
-      for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(per == 0 ? 0 : v / per);
-      }
-      break;
-    }
     case PartitionPolicy::kDegreeGreedy: {
       std::vector<NodeId> order(n);
       std::iota(order.begin(), order.end(), NodeId{0});
@@ -117,14 +131,6 @@ class Partition {
       }
       break;
     }
-    case PartitionPolicy::kProfileGuided:
-      // Needs measured per-vertex loads — use make_profile_partition().
-      // Without a profile there is nothing to guide; fall back to the
-      // round-robin baseline the profiling pass itself uses.
-      for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(v % num_tiles);
-      }
-      break;
   }
   return {std::move(owner), num_tiles};
 }

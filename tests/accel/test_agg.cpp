@@ -51,6 +51,7 @@ struct Rig {
   std::vector<noc::Message> run(Cycle cycles) {
     std::vector<noc::Message> out;
     for (Cycle c = 0; c < cycles; ++c) {
+      while (auto m = net.poll(agg_ep)) agg->on_message(*m);
       agg->tick();
       net.tick();
       while (auto m = net.poll(sink)) out.push_back(*m);
@@ -137,6 +138,7 @@ TEST(Agg, ResultToMemoryIsWriteRequest) {
   // Result goes to the memory endpoint (2), not the sink.
   std::vector<noc::Message> mem_msgs;
   for (Cycle c = 0; c < 50; ++c) {
+    while (auto m = rig.net.poll(rig.agg_ep)) rig.agg->on_message(*m);
     rig.agg->tick();
     rig.net.tick();
     while (auto m = rig.net.poll(2)) mem_msgs.push_back(*m);

@@ -2,14 +2,11 @@
 //  - pinned run statistics of untraced runs (every stats baseline under
 //    tests/data has a profile attached, so none of them covers the
 //    untraced path);
-//  - a differential check against a reference loop that ticks every tile,
-//    memory controller and the NoC on every cycle, as the loop did before
-//    it skipped quiet cycles and replayed doomed allocation retries
-//    (DESIGN.md §16).
+//  - a differential check against a reference loop that ticks the same
+//    accel::Machine on every cycle, as the loop did before it skipped
+//    quiet cycles and replayed doomed allocation retries (DESIGN.md §16).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,12 +14,11 @@
 #include <vector>
 
 #include "accel/compiler.hpp"
+#include "accel/machine.hpp"
 #include "accel/simulator.hpp"
 #include "common/rng.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
-#include "mem/memory.hpp"
-#include "noc/network.hpp"
 
 namespace gnna::accel {
 namespace {
@@ -150,149 +146,33 @@ struct ReferenceRun {
 };
 
 /// AcceleratorSim::run without verification, tracing or skipping: every
-/// unit ticks on every cycle. Built endpoint for endpoint like
-/// AcceleratorSim::build, with the default round-robin work split.
+/// unit of the same Machine ticks on every cycle, with the default
+/// round-robin work split.
 ReferenceRun reference_run(const CompiledProgram& prog,
                            const graph::Dataset& ds,
                            const AcceleratorConfig& cfg,
                            Cycle watchdog_cycles = 2'000'000) {
-  noc::MeshNetwork net(cfg.mesh_width, cfg.mesh_height, cfg.noc_params);
-  struct TileEps {
-    EndpointId gpe, agg, dnq;
-  };
-  std::vector<TileEps> tile_eps;
-  for (const auto& [x, y] : cfg.tile_coords) {
-    TileEps eps{};
-    eps.gpe = net.add_endpoint(x, y);
-    eps.agg = net.add_endpoint(x, y);
-    eps.dnq = net.add_endpoint(x, y);
-    tile_eps.push_back(eps);
-  }
-  std::vector<EndpointId> mem_eps;
-  for (const auto& [x, y] : cfg.mem_coords) {
-    mem_eps.push_back(net.add_endpoint(x, y));
-  }
-  net.finalize();
-  const AddressMap addr_map(mem_eps, cfg.interleave_bytes);
-  std::vector<std::unique_ptr<Tile>> tiles;
-  for (const auto& eps : tile_eps) {
-    tiles.push_back(std::make_unique<Tile>(cfg, net, eps.gpe, eps.agg,
-                                           eps.dnq, addr_map));
-  }
-  std::vector<std::unique_ptr<mem::MemoryController>> mems;
-  for (const EndpointId ep : mem_eps) {
-    mems.push_back(std::make_unique<mem::MemoryController>(
-        net, ep, cfg.mem_params, cfg.noc_clock));
-  }
-
-  const auto everything_idle = [&] {
-    for (const auto& t : tiles) {
-      if (!t->idle()) return false;
-    }
-    for (const auto& m : mems) {
-      if (!m->idle()) return false;
-    }
-    return net.idle();
-  };
-  const auto progress_signature = [&] {
-    std::uint64_t sig = net.stats().packets_sent.value() +
-                        net.stats().packets_delivered.value();
-    for (const auto& t : tiles) {
-      sig += t->gpe().stats().actions.value();
-      sig += t->dna().stats().entries_processed.value();
-      sig += t->agg().stats().contributions.value();
-    }
-    return sig;
-  };
-
+  Machine m(cfg);
   ReferenceRun out;
-  RunStats& rs = out.stats;
-  const auto num_tiles = static_cast<std::uint32_t>(tiles.size());
-  std::uint64_t served_before = 0;
   for (const PhaseSpec& phase : prog.phases) {
-    const std::uint32_t num_items =
-        phase.per_graph ? static_cast<std::uint32_t>(prog.graphs.size())
-                        : prog.total_vertices();
-    std::vector<std::vector<std::uint32_t>> work(num_tiles);
-    for (std::uint32_t i = 0; i < num_items; ++i) {
-      work[i % num_tiles].push_back(i);
-    }
-    const Cycle phase_start = net.now();
-    for (std::uint32_t t = 0; t < num_tiles; ++t) {
-      tiles[t]->begin_phase(prog, ds, phase, std::move(work[t]));
-    }
-    std::uint64_t last_sig = progress_signature();
-    Cycle last_progress = net.now();
-    while (!everything_idle()) {
-      for (auto& t : tiles) t->tick();
-      for (auto& m : mems) m->tick();
-      net.tick();
-      const std::uint64_t sig = progress_signature();
+    m.begin_phase(prog, ds, phase);
+    std::uint64_t last_sig = m.progress_signature();
+    Cycle last_progress = m.now();
+    while (!m.idle()) {
+      m.tick_cycle();
+      const std::uint64_t sig = m.progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
-        last_progress = net.now();
-      } else if (net.now() - last_progress > watchdog_cycles) {
+        last_progress = m.now();
+      } else if (m.now() - last_progress > watchdog_cycles) {
         out.deadlocked = true;
-        out.deadlock_cycle = net.now();
+        out.deadlock_cycle = m.now();
         return out;
       }
     }
-    PhaseStats ps;
-    ps.name = phase.name;
-    ps.cycles = net.now() - phase_start;
-    std::uint64_t served = 0;
-    for (const auto& m : mems) served += m->stats().bytes_served.value();
-    ps.mem_bytes_served = served - served_before;
-    served_before = served;
-    ps.tasks = num_items;
-    rs.phases.push_back(ps);
+    out.stats.phases.push_back(m.phase_stats());
   }
-
-  rs.cycles = net.now();
-  double occupancy_sum = 0.0;
-  double occupancy_weight = 0.0;
-  for (const auto& m : mems) {
-    rs.mem_bytes_requested += m->stats().bytes_requested.value();
-    rs.mem_bytes_served += m->stats().bytes_served.value();
-    rs.mem_row_hits += m->row_hits();
-    rs.mem_row_misses += m->row_misses();
-    occupancy_sum += m->stats().queue_depth.sum();
-    occupancy_weight += m->stats().queue_depth.weight();
-    rs.mem_queue_occupancy_max =
-        std::max(rs.mem_queue_occupancy_max, m->stats().queue_depth.max());
-    for (const mem::BankStats& bs : m->stats().banks) {
-      RunStats::MemBankStats b;
-      b.row_hits = bs.row_hits.value();
-      b.row_misses = bs.row_misses.value();
-      b.busy_frac = bs.busy_cycles / static_cast<double>(rs.cycles);
-      rs.mem_banks.push_back(b);
-    }
-  }
-  rs.mem_queue_occupancy =
-      occupancy_weight > 0.0 ? occupancy_sum / occupancy_weight : 0.0;
-  double dna_busy = 0.0;
-  double gpe_busy = 0.0;
-  double agg_busy = 0.0;
-  for (const auto& t : tiles) {
-    dna_busy += t->dna().stats().busy_cycles;
-    gpe_busy += t->gpe().stats().busy_cycles;
-    agg_busy += t->agg().stats().busy_cycles;
-    rs.tasks_completed += t->gpe().stats().tasks_completed.value();
-    rs.dnq_queue_switches += t->dnq().stats().queue_switches.value();
-    rs.alloc_stalls += t->gpe().stats().alloc_stalls.value();
-    rs.agg_words_reduced += t->agg().stats().words_reduced.value();
-    rs.dna_macs += t->dna().stats().macs.value();
-    rs.gpe_actions += t->gpe().stats().actions.value();
-    rs.dnq_words += t->dnq().stats().enqueued_words.value();
-  }
-  const double denom = static_cast<double>(rs.cycles) * num_tiles;
-  rs.dna_utilization = dna_busy / denom;
-  rs.gpe_utilization = gpe_busy / denom;
-  rs.agg_utilization = agg_busy / denom;
-  rs.noc_flit_hops = net.stats().flit_hops.value();
-  rs.noc_flits_delivered = net.stats().flits_delivered.value();
-  rs.packets_delivered = net.stats().packets_delivered.value();
-  rs.avg_packet_latency = net.stats().packet_latency.mean();
+  m.read_stats(out.stats);
   return out;
 }
 
@@ -445,28 +325,51 @@ TEST(BarrierLoop, WatchdogFiresAtTheReferenceCycle) {
   // 3 cycles fires during the first memory round trip; the longer limits
   // fire (or not) inside quiet stretches the loop jumps across, between
   // replayed retries on two tiles.
+  struct Case {
+    Model model;
+    AcceleratorConfig cfg;
+    Cycle limit;
+    bool verify = true;
+  };
+  std::vector<Case> cases;
   for (const Model model : {Model::kGcn, Model::kMpnn, Model::kPgnn}) {
     for (const Cycle limit :
          {Cycle{3}, Cycle{40}, Cycle{150}, Cycle{600}, Cycle{2500}}) {
-      SCOPED_TRACE(std::string(model_name(model)) + " watchdog " +
-                   std::to_string(limit));
-      const Workload w = make_workload(model);
-      const AcceleratorConfig cfg = make_config(Config::kTwoTile, 1.7, false);
-      const CompiledProgram prog = ProgramCompiler{}.compile(w.model, w.ds);
-      const ReferenceRun want = reference_run(prog, w.ds, cfg, limit);
-      AcceleratorSim sim(cfg);
-      sim.set_watchdog_cycles(limit);
-      if (!want.deadlocked) {
-        expect_same_run(sim.run(prog, w.ds), want.stats);
-        continue;
-      }
-      try {
-        (void)sim.run(prog, w.ds);
-        ADD_FAILURE() << "watchdog did not fire; reference fired at cycle "
-                      << want.deadlock_cycle;
-      } catch (const std::runtime_error& e) {
-        EXPECT_EQ(reported_cycle(e.what()), want.deadlock_cycle);
-      }
+      cases.push_back({model, make_config(Config::kTwoTile, 1.7, false), limit});
+    }
+  }
+  // Every thread retries a DNQ allocation that can never succeed (entries
+  // wider than the DNQ, which verification rejects) while memory answers
+  // at once. The first gap longer than 6 cycles then follows a replayed
+  // retry and a progress-free tick: the watchdog must count from the
+  // retry, not from that tick.
+  AcceleratorConfig livelock = make_config(Config::kTwoTile, 2.4, false);
+  livelock.tile_params.gpe_threads = 3;
+  livelock.tile_params.dnq_data_bytes = 32;
+  livelock.mem_params.latency_ns = 0.0;
+  livelock.mem_params.bandwidth = Bandwidth::gb_per_s(10000.0);
+  cases.push_back({Model::kGcn, livelock, 6, /*verify=*/false});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(model_name(c.model)) + " on " + c.cfg.name +
+                 " at " + std::to_string(c.cfg.core_clock.ghz()) +
+                 " GHz, watchdog " + std::to_string(c.limit));
+    const Workload w = make_workload(c.model);
+    const CompiledProgram prog = ProgramCompiler{}.compile(w.model, w.ds);
+    const ReferenceRun want = reference_run(prog, w.ds, c.cfg, c.limit);
+    AcceleratorSim sim(c.cfg);
+    sim.set_watchdog_cycles(c.limit);
+    sim.set_verify(c.verify);
+    if (!want.deadlocked) {
+      expect_same_run(sim.run(prog, w.ds), want.stats);
+      continue;
+    }
+    try {
+      (void)sim.run(prog, w.ds);
+      ADD_FAILURE() << "watchdog did not fire; reference fired at cycle "
+                    << want.deadlock_cycle;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(reported_cycle(e.what()), want.deadlock_cycle);
     }
   }
 }
